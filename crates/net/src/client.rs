@@ -147,8 +147,6 @@ pub struct ClientConfig {
     /// `read_timeout` when both are set. `None` leaves only the socket
     /// timeouts.
     pub request_deadline: Option<Duration>,
-    /// Retry budget of the `*_retry` methods: attempts beyond the first.
-    pub retries: usize,
     /// First backoff sleep; doubles per attempt.
     pub backoff_base: Duration,
     /// Backoff ceiling.
@@ -190,7 +188,6 @@ impl Default for ClientConfig {
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             request_deadline: None,
-            retries: 8,
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
             reconnect: true,

@@ -13,9 +13,9 @@ use hqmr_net::{
     ChaosConfig, ClientConfig, DatasetSpec, ErrorFrame, NetClient, NetConfig, NetError, NetServer,
     WireStoreError,
 };
-use hqmr_serve::{Query, StoreServer, TemporalServer, UNBOUNDED};
+use hqmr_serve::{Query, StoreServer, UNBOUNDED};
 use hqmr_store::temporal::{Prediction, TemporalReader};
-use hqmr_store::{parse_head, write_store, StoreConfig, StoreError, StoreReader};
+use hqmr_store::{parse_head, read, write_store, StoreConfig, StoreError, StoreReader};
 use hqmr_sz3::Sz3Codec;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -321,7 +321,7 @@ fn temporal_run(name: &str, steps: usize) -> std::path::PathBuf {
     dir
 }
 
-/// The temporal storm: 8 threads hammer a [`TemporalServer`] whose every
+/// The temporal storm: 8 threads hammer a temporal [`StoreServer`] whose every
 /// stored-chunk fetch faults, with disk parity armed. Requirements mirror
 /// the wire storm: zero hangs, every answer either bit-exact (healed) or a
 /// typed error — and with parity in place, all of them heal.
@@ -334,7 +334,8 @@ fn temporal_chaos_storm_heals_every_frame() {
 
     let reader = Arc::new(TemporalReader::open(&dir).unwrap());
     let server = Arc::new(
-        TemporalServer::unbounded(Arc::clone(&reader))
+        StoreServer::temporal(Arc::clone(&reader), UNBOUNDED)
+            .expect("the run has frames")
             .with_fault_hook(Arc::new(|_, _| true)) // every fetch rots
             .with_disk_parity()
             .expect("sidecars written by TemporalWriter"),
@@ -353,7 +354,8 @@ fn temporal_chaos_storm_heals_every_frame() {
                 for i in 0..OPS {
                     let t = (th + i) % STEPS;
                     let t0 = Instant::now();
-                    let frame = server.read_frame(t).expect("parity heals every fault");
+                    let frame = read::read_all(&server.frame(t).unwrap())
+                        .expect("parity heals every fault");
                     assert_eq!(frame, oracle[t], "healed frame {t} must be bit-exact");
                     let elapsed = t0.elapsed();
                     assert!(elapsed < HANG, "op {i} on thread {th} hung for {elapsed:?}");
@@ -373,8 +375,10 @@ fn temporal_chaos_storm_heals_every_frame() {
     );
 
     // The same storm *without* parity must fail typed, not hang or panic.
-    let bare = TemporalServer::unbounded(reader).with_fault_hook(Arc::new(|_, _| true));
-    match bare.read_frame(0) {
+    let bare = StoreServer::temporal(reader, UNBOUNDED)
+        .expect("the run has frames")
+        .with_fault_hook(Arc::new(|_, _| true));
+    match read::read_all(&bare.frame(0).unwrap()) {
         Err(StoreError::CorruptChunk { .. }) => {}
         other => panic!("unarmed server must fail typed, got {other:?}"),
     }

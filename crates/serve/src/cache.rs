@@ -7,16 +7,11 @@
 //! under that lock — a decode's waiters park on the flight's own
 //! mutex/condvar pair, so a slow chunk stalls only its own requesters.
 
+use hqmr_store::temporal::TimeKey;
 use hqmr_store::{DecodedChunk, StoreError};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Single-store cache key: `(level, chunk index)`. The cache itself is
-/// generic over the key — the temporal server keys the same structure by
-/// `(time, level, chunk)`.
-pub(crate) type Key = (usize, usize);
 
 /// Snapshot of the serving layer's cache accounting.
 ///
@@ -123,13 +118,13 @@ struct Entry {
     stamp: u64,
 }
 
-/// Mutex-guarded cache state.
-struct CacheState<K> {
+/// Mutex-guarded cache state, keyed by `(frame, level, chunk)`.
+struct CacheState {
     /// Resident chunks.
-    entries: HashMap<K, Entry>,
+    entries: HashMap<TimeKey, Entry>,
     /// Recency order: stamp → key, oldest first. Kept in lockstep with
     /// `entries` (every entry's `stamp` is a key in `order` and vice versa).
-    order: BTreeMap<u64, K>,
+    order: BTreeMap<u64, TimeKey>,
     /// Next recency stamp.
     clock: u64,
     /// Sum of resident `DecodedChunk::resident_bytes`.
@@ -137,17 +132,17 @@ struct CacheState<K> {
     /// High-water mark of `resident`.
     peak: usize,
     /// Decodes currently running, by chunk.
-    inflight: HashMap<K, Arc<Flight>>,
+    inflight: HashMap<TimeKey, Arc<Flight>>,
 }
 
-impl<K: Eq + Hash + Copy> CacheState<K> {
+impl CacheState {
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
     }
 
     /// Moves `key`'s entry to most-recently-used and returns a clone.
-    fn touch(&mut self, key: K) -> Option<DecodedChunk> {
+    fn touch(&mut self, key: TimeKey) -> Option<DecodedChunk> {
         let stamp = self.tick();
         let e = self.entries.get_mut(&key)?;
         let old = std::mem::replace(&mut e.stamp, stamp);
@@ -158,15 +153,14 @@ impl<K: Eq + Hash + Copy> CacheState<K> {
     }
 }
 
-/// The cache proper, generic over the chunk-identity key. All methods take
-/// `&self`; the type is `Send + Sync`.
-pub(crate) struct ChunkCache<K = Key> {
+/// The cache proper. All methods take `&self`; the type is `Send + Sync`.
+pub(crate) struct ChunkCache {
     budget: usize,
-    state: Mutex<CacheState<K>>,
+    state: Mutex<CacheState>,
     counters: Counters,
 }
 
-impl<K: Eq + Hash + Copy> ChunkCache<K> {
+impl ChunkCache {
     pub(crate) fn new(budget: usize) -> Self {
         ChunkCache {
             budget,
@@ -182,7 +176,7 @@ impl<K: Eq + Hash + Copy> ChunkCache<K> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState<K>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
         self.state.lock().expect("chunk cache lock poisoned")
     }
 
@@ -190,13 +184,13 @@ impl<K: Eq + Hash + Copy> ChunkCache<K> {
     /// callers: the first requester of a non-resident chunk runs `decode`
     /// while later requesters wait on the shared flight and clone its
     /// result. `decode` runs outside every cache lock, so it may itself
-    /// recurse into the cache under a *different* key (the temporal server's
-    /// chain decode does, with strictly decreasing time — no cycle, no
-    /// deadlock). It is `Fn`, not `FnOnce`, because a waiter that observes a
-    /// failed flight re-derives its own typed error by decoding again.
+    /// recurse into the cache under a *different* key (a delta chunk's chain
+    /// decode does, with strictly decreasing time — no cycle, no deadlock).
+    /// It is `Fn`, not `FnOnce`, because a waiter that observes a failed
+    /// flight re-derives its own typed error by decoding again.
     pub(crate) fn get_or_decode(
         &self,
-        key: K,
+        key: TimeKey,
         decode: impl Fn() -> Result<DecodedChunk, StoreError>,
     ) -> Result<DecodedChunk, StoreError> {
         let joined = {
@@ -244,14 +238,14 @@ impl<K: Eq + Hash + Copy> ChunkCache<K> {
                 // the in-flight slot and flips the flight to `Failed`
                 // instead of leaving every present and future requester of
                 // this chunk parked on a `Pending` flight forever.
-                struct Publish<'a, K: Eq + Hash + Copy> {
-                    cache: &'a ChunkCache<K>,
-                    key: K,
+                struct Publish<'a> {
+                    cache: &'a ChunkCache,
+                    key: TimeKey,
                     /// `Some` once the decode succeeded; `None` means the
                     /// decode failed or panicked.
                     outcome: Option<DecodedChunk>,
                 }
-                impl<K: Eq + Hash + Copy> Drop for Publish<'_, K> {
+                impl Drop for Publish<'_> {
                     fn drop(&mut self) {
                         let flight = {
                             let mut st = self.cache.lock();
@@ -306,7 +300,7 @@ impl<K: Eq + Hash + Copy> ChunkCache<K> {
     /// returning the resident chunks and `None` for the rest. Only the hits
     /// are counted here — the caller resolves the `None`s through
     /// [`ChunkCache::get_or_decode`], which does its own accounting.
-    pub(crate) fn get_resident(&self, keys: &[K]) -> Vec<Option<DecodedChunk>> {
+    pub(crate) fn get_resident(&self, keys: &[TimeKey]) -> Vec<Option<DecodedChunk>> {
         let mut st = self.lock();
         let out: Vec<Option<DecodedChunk>> = keys.iter().map(|&k| st.touch(k)).collect();
         drop(st);
@@ -319,7 +313,7 @@ impl<K: Eq + Hash + Copy> ChunkCache<K> {
     /// `resident` never exceeds the budget at any instant. Chunks larger
     /// than the whole budget are served but never cached (budget 0 therefore
     /// caches nothing while single-flight keeps working).
-    fn insert(&self, st: &mut CacheState<K>, key: K, chunk: DecodedChunk) {
+    fn insert(&self, st: &mut CacheState, key: TimeKey, chunk: DecodedChunk) {
         let bytes = chunk.resident_bytes();
         if bytes > self.budget {
             return;

@@ -6,9 +6,9 @@
 //! each chunk once: many clients pan and zoom over the *same* hot regions,
 //! and a chunk decoded for one ROI is needed again milliseconds later by the
 //! next. [`StoreServer`] is the layer in between — a `Send + Sync` server
-//! wrapping an `Arc<StoreReader>` with:
+//! over one shared store or one shared temporal (`HQTM`) series, with:
 //!
-//! * a **decoded-chunk LRU cache** keyed by `(level, chunk)` under a
+//! * a **decoded-chunk LRU cache** keyed by `(t, level, chunk)` under a
 //!   configurable byte budget — chunk payloads are shared `Arc<[f32]>`
 //!   slabs, so a cache hit is a refcount bump, not a copy;
 //! * **single-flight decode**: concurrent requests for the same non-resident
@@ -22,25 +22,34 @@
 //! * [`CacheStats`] — hits / misses / shared waits / evictions / resident
 //!   bytes, alongside the reader's existing `bytes_decoded` accounting.
 //!
+//! A single store is served as a one-frame series: it is frame 0, and the
+//! store-level reads ([`StoreServer::read_level`],
+//! [`StoreServer::serve_batch`], …) read frame 0. A server built with
+//! [`StoreServer::temporal`] serves every frame of a temporal store through
+//! the same cache and decode path, one frame at a time through
+//! [`StoreServer::frame`]. A delta chunk's decode resolves its chain through
+//! the cache, so a chain is walked at most once however many clients ask for
+//! its tip.
+//!
 //! Every read method returns results byte-identical to the bare
-//! [`StoreReader`]: both funnel through the provider-generic assembly in
-//! [`hqmr_store::read`], and the differential property suite in
-//! `tests/serve_props.rs` pins the equivalence across every backend,
+//! [`StoreReader`] (or [`TemporalReader`]): both funnel through the
+//! provider-generic assembly in [`hqmr_store::read`], and the differential
+//! property suites (`tests/serve_props.rs`, the workspace's
+//! `tests/temporal_props.rs`) pin the equivalence across every backend,
 //! arrangement and budget (including 0 and unbounded).
 
 mod cache;
-pub mod temporal;
 
 pub use cache::CacheStats;
-pub use temporal::{TemporalServer, TimeQuery, TimeView};
 
-use cache::Key;
+use cache::ChunkCache;
 use hqmr_grid::{Dims3, Field3};
 use hqmr_mr::{LevelData, MultiResData, Upsample};
 use hqmr_store::read::{self, ChunkSource};
+use hqmr_store::temporal::{apply_residual, TemporalReader, TimeKey};
 use hqmr_store::{
-    DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus, StoreError, StoreMeta,
-    StoreReader, Throttle,
+    temporal_sidecars, DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus,
+    StoreError, StoreMeta, StoreReader, Throttle,
 };
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -188,24 +197,67 @@ impl QueryResult {
 /// this is observationally identical to real at-rest bit rot.
 pub type FaultHook = Arc<dyn Fn(usize, usize) -> bool + Send + Sync>;
 
-/// A `Send + Sync` serving layer over one shared [`StoreReader`].
+/// What a server reads from: one store (served as frame 0), or a temporal
+/// series whose frames are stores and may hold delta chunks.
+enum Frames {
+    Store(Arc<StoreReader>),
+    Series(Arc<TemporalReader>),
+}
+
+impl Frames {
+    fn count(&self) -> usize {
+        match self {
+            Frames::Store(_) => 1,
+            Frames::Series(s) => s.frame_count(),
+        }
+    }
+
+    /// The store holding frame `t`'s chunk streams.
+    fn reader(&self, t: usize) -> Result<&StoreReader, StoreError> {
+        match self {
+            Frames::Store(r) if t == 0 => Ok(r),
+            Frames::Store(_) => Err(StoreError::NoSuchFrame(t)),
+            Frames::Series(s) => s.frame_reader(t),
+        }
+    }
+
+    /// Whether frame `t` stores `(level, block)` as a residual against frame
+    /// `t − 1` (never for a single store).
+    fn is_delta(&self, t: usize, level: usize, block: usize) -> bool {
+        match self {
+            Frames::Store(_) => false,
+            Frames::Series(s) => s.manifest().frames[t].is_delta(level, block),
+        }
+    }
+}
+
+/// Whether a batch fails on an undecodable chunk or answers around it.
+#[derive(Clone, Copy, PartialEq)]
+enum Exactness {
+    Exact,
+    Degraded,
+}
+
+/// A `Send + Sync` serving layer over one shared [`StoreReader`] or
+/// [`TemporalReader`].
 ///
 /// All methods take `&self`; clone the `Arc<StoreServer>` (or borrow across
 /// `std::thread::scope`) into as many client threads as needed. Results are
 /// byte-identical to the bare reader's at every cache budget.
 pub struct StoreServer {
-    reader: Arc<StoreReader>,
-    cache: cache::ChunkCache<Key>,
+    frames: Frames,
+    cache: ChunkCache,
     fault_hook: Option<FaultHook>,
-    /// Parity sidecar for online repair: when present, a chunk that fails
-    /// its CRC (or a chaos-injected fault) is reconstructed from its XOR
-    /// group before any degradation kicks in. Repaired chunks are exact and
-    /// enter the LRU like clean decodes.
-    parity: Option<ParitySidecar>,
+    /// Parity sidecars for online repair, one slot per frame: when frame
+    /// `t`'s slot is armed, a chunk of it that fails its CRC (or a
+    /// chaos-injected fault) is reconstructed from its XOR group before any
+    /// degradation kicks in. Repaired chunks are exact and enter the LRU
+    /// like clean decodes.
+    parity: Vec<Option<ParitySidecar>>,
     /// Chunks that failed to decode during a degraded batch. Quarantined
     /// chunks are never re-fetched by the degraded path (they go straight
     /// to fill), keeping repeat traffic off a known-bad disk region.
-    quarantine: Mutex<BTreeSet<Key>>,
+    quarantine: Mutex<BTreeSet<TimeKey>>,
 }
 
 impl StoreServer {
@@ -214,50 +266,96 @@ impl StoreServer {
     /// entirely — reads stay correct and single-flight still deduplicates
     /// concurrent decodes; [`UNBOUNDED`] never evicts.
     pub fn new(reader: Arc<StoreReader>, cache_budget: usize) -> Self {
+        Self::over(Frames::Store(reader), cache_budget)
+    }
+
+    /// Serves every frame of a temporal store through one cache of at most
+    /// `cache_budget` bytes; reads return actual values, delta chains
+    /// resolved. At budget `0` a cold delta read re-walks its chain. Fails
+    /// with [`StoreError::NoSuchFrame`] on a series with no frames.
+    pub fn temporal(reader: Arc<TemporalReader>, cache_budget: usize) -> Result<Self, StoreError> {
+        if reader.is_empty() {
+            return Err(StoreError::NoSuchFrame(0));
+        }
+        Ok(Self::over(Frames::Series(reader), cache_budget))
+    }
+
+    fn over(frames: Frames, cache_budget: usize) -> Self {
         StoreServer {
-            reader,
-            cache: cache::ChunkCache::new(cache_budget),
+            parity: vec![None; frames.count()],
+            frames,
+            cache: ChunkCache::new(cache_budget),
             fault_hook: None,
-            parity: None,
             quarantine: Mutex::new(BTreeSet::new()),
         }
     }
 
-    /// Installs a [`FaultHook`] consulted before every chunk decode (builder
-    /// form, for use before the server is shared). Production servers leave
-    /// this unset; the chaos harness injects simulated corruption here. The
-    /// hook fires inside the cache's decode path, so a chunk already
-    /// resident (including one just repaired) is served without re-rolling
-    /// the fault — matching real at-rest rot, which only bites on fetch.
+    /// Installs a [`FaultHook`] consulted before every stored-chunk decode
+    /// (builder form, for use before the server is shared). Production
+    /// servers leave this unset; the chaos harness injects simulated
+    /// corruption here. The hook fires inside the cache's decode path, so a
+    /// chunk already resident (including one just repaired) is served
+    /// without re-rolling the fault — matching real at-rest rot, which only
+    /// bites on fetch. A delta chunk's fault surfaces while walking any
+    /// chain through it.
     pub fn with_fault_hook(mut self, hook: FaultHook) -> Self {
         self.fault_hook = Some(hook);
         self
     }
 
-    /// Arms online repair with a parity sidecar (builder form). Fails with
-    /// [`StoreError::SidecarMismatch`] if the sidecar describes a different
-    /// store than the wrapped reader.
-    pub fn with_parity(mut self, sidecar: ParitySidecar) -> Result<Self, StoreError> {
-        if !sidecar.matches(self.reader.meta()) {
-            return Err(StoreError::SidecarMismatch);
+    /// Arms online repair of a single store with a parity sidecar (builder
+    /// form). Fails with [`StoreError::SidecarMismatch`] if the sidecar
+    /// describes a different store than the wrapped reader, and with
+    /// [`StoreError::Malformed`] on a server of more than one frame.
+    pub fn with_parity(self, sidecar: ParitySidecar) -> Result<Self, StoreError> {
+        self.arm(vec![Some(sidecar)])
+    }
+
+    /// Builds a fresh parity sidecar over every served frame (each must
+    /// verify clean) and arms online repair with them — the
+    /// in-memory-dataset path, where no `.hqpr` file exists to load. `group`
+    /// chunks share one XOR parity block (`0` is rejected by construction
+    /// downstream; use [`hqmr_store::DEFAULT_PARITY_GROUP`] by default).
+    pub fn with_built_parity(self, group: usize) -> Result<Self, StoreError> {
+        let sidecars = (0..self.frames.count())
+            .map(|t| ParitySidecar::from_reader(self.frames.reader(t)?, group).map(Some))
+            .collect::<Result<_, _>>()?;
+        self.arm(sidecars)
+    }
+
+    /// Arms online repair of a temporal store from the `.hqpr` files next
+    /// to its frame files, tolerating absent or damaged sidecars per frame
+    /// (those frames simply stay unprotected). A single store has no frame
+    /// directory to search and is returned unchanged; arm it with
+    /// [`StoreServer::with_parity`].
+    pub fn with_disk_parity(self) -> Result<Self, StoreError> {
+        let Frames::Series(series) = &self.frames else {
+            return Ok(self);
+        };
+        let sidecars = temporal_sidecars(series.dir(), series.manifest());
+        self.arm(sidecars)
+    }
+
+    /// Installs one optional sidecar per frame after checking each against
+    /// its frame's directory.
+    fn arm(mut self, sidecars: Vec<Option<ParitySidecar>>) -> Result<Self, StoreError> {
+        if sidecars.len() != self.frames.count() {
+            return Err(StoreError::Malformed("one parity slot per frame"));
         }
-        self.parity = Some(sidecar);
+        for (t, sidecar) in sidecars.iter().enumerate() {
+            if let Some(sidecar) = sidecar {
+                if !sidecar.matches(self.frames.reader(t)?.meta()) {
+                    return Err(StoreError::SidecarMismatch);
+                }
+            }
+        }
+        self.parity = sidecars;
         Ok(self)
     }
 
-    /// Builds a fresh parity sidecar over the wrapped store (which must
-    /// verify clean) and arms online repair with it — the in-memory-dataset
-    /// path, where no `.hqpr` file exists to load. `group` chunks share one
-    /// XOR parity block (`0` is rejected by construction downstream; use
-    /// [`hqmr_store::DEFAULT_PARITY_GROUP`] by default).
-    pub fn with_built_parity(self, group: usize) -> Result<Self, StoreError> {
-        let sidecar = ParitySidecar::from_reader(&self.reader, group)?;
-        self.with_parity(sidecar)
-    }
-
-    /// Whether online parity repair is armed.
+    /// Whether online parity repair is armed for any frame.
     pub fn has_parity(&self) -> bool {
-        self.parity.is_some()
+        self.parity.iter().any(Option::is_some)
     }
 
     /// [`StoreServer::new`] with an unbounded budget.
@@ -265,14 +363,17 @@ impl StoreServer {
         Self::new(reader, UNBOUNDED)
     }
 
-    /// The wrapped reader (e.g. for its `bytes_decoded` accounting).
+    /// Frame 0's store reader — the wrapped reader of a single-store server
+    /// (e.g. for its `bytes_decoded` accounting).
     pub fn reader(&self) -> &StoreReader {
-        &self.reader
+        self.frames
+            .reader(0)
+            .expect("every server has a frame 0: `temporal` rejects empty series")
     }
 
-    /// The store's directory.
+    /// Frame 0's directory.
     pub fn meta(&self) -> &StoreMeta {
-        self.reader.meta()
+        self.reader().meta()
     }
 
     /// Snapshot of the cache counters. The snapshot is atomically
@@ -302,6 +403,18 @@ impl StoreServer {
     /// server). Counters are kept.
     pub fn clear_cache(&self) {
         self.cache.clear();
+    }
+
+    /// A [`ChunkSource`] view of frame `t` whose chunks come through the
+    /// server's cache: the [`hqmr_store::read`] functions read any level,
+    /// ROI, isovalue skim or progressive refinement of the frame from it.
+    /// Fails with [`StoreError::NoSuchFrame`] past the last frame.
+    pub fn frame(&self, t: usize) -> Result<Frame<'_>, StoreError> {
+        Ok(Frame {
+            server: self,
+            t,
+            meta: self.frames.reader(t)?.meta(),
+        })
     }
 
     /// Reads one whole resolution level through the cache.
@@ -337,37 +450,10 @@ impl StoreServer {
         read::progressive(self, scheme)
     }
 
-    /// The `(level, chunk)` pairs one query needs, from chunk-table
-    /// accounting alone (no decoding).
-    fn query_keys(&self, q: &Query) -> Result<Vec<Key>, StoreError> {
-        let meta = self.meta();
-        Ok(match *q {
-            Query::Level { level } => {
-                let lm = meta
-                    .levels
-                    .get(level)
-                    .ok_or(StoreError::NoSuchLevel(level))?;
-                (0..lm.chunks.len()).map(|i| (level, i)).collect()
-            }
-            Query::Roi { level, lo, hi, .. } => read::roi_chunk_indices(meta, level, lo, hi)?
-                .into_iter()
-                .map(|i| (level, i))
-                .collect(),
-            Query::Iso { level, iso } => read::iso_chunk_indices(meta, level, iso)?
-                .into_iter()
-                .map(|i| (level, i))
-                .collect(),
-        })
-    }
-
     /// The set of `(level, chunk)` pairs a batch of queries needs — the
     /// union across requests, each chunk exactly once.
     pub fn plan(&self, queries: &[Query]) -> Result<BTreeSet<(usize, usize)>, StoreError> {
-        let mut need: BTreeSet<Key> = BTreeSet::new();
-        for q in queries {
-            need.extend(self.query_keys(q)?);
-        }
-        Ok(need)
+        Ok(plan(self.meta(), queries)?.1)
     }
 
     /// Serves a batch of queries: plans the union of needed chunks, decodes
@@ -377,36 +463,8 @@ impl StoreServer {
     /// batch touch each chunk once even at cache budget 0. Responses are in
     /// request order and byte-identical to issuing each query alone.
     pub fn serve_batch(&self, queries: &[Query]) -> Result<Vec<Response>, StoreError> {
-        let keys: Vec<Key> = self.plan(queries)?.into_iter().collect();
-        let fetched: Vec<Result<DecodedChunk, StoreError>> = keys
-            .par_iter()
-            .map(|&(level, block)| self.chunk(level, block))
-            .collect();
-        let mut chunks: HashMap<Key, DecodedChunk> = HashMap::with_capacity(keys.len());
-        for (key, res) in keys.into_iter().zip(fetched) {
-            chunks.insert(key, res?);
-        }
-        // Assembly pulls from the batch's own decoded set, so the responses
-        // are immune to evictions happening underneath (budget 0 included).
-        let view = BatchView {
-            server: self,
-            chunks,
-        };
-        queries
-            .iter()
-            .map(|q| match *q {
-                Query::Level { level } => read::read_level(&view, level).map(Response::Level),
-                Query::Roi {
-                    level,
-                    lo,
-                    hi,
-                    fill,
-                } => read::read_roi(&view, level, lo, hi, fill).map(Response::Roi),
-                Query::Iso { level, iso } => {
-                    read::read_level_iso(&view, level, iso).map(Response::Iso)
-                }
-            })
-            .collect()
+        let results = self.serve(0, queries, Exactness::Exact)?;
+        Ok(results.into_iter().map(|r| r.response).collect())
     }
 
     /// [`StoreServer::serve_batch`] with graceful degradation: a chunk whose
@@ -424,51 +482,59 @@ impl StoreServer {
     /// With no corrupt chunks, every [`QueryResult::is_exact`] and the
     /// responses are bit-identical to [`StoreServer::serve_batch`].
     pub fn serve_batch_degraded(&self, queries: &[Query]) -> Result<Vec<QueryResult>, StoreError> {
-        let per_query: Vec<Vec<Key>> = queries
-            .iter()
-            .map(|q| self.query_keys(q))
-            .collect::<Result<_, _>>()?;
-        let mut need: BTreeSet<Key> = BTreeSet::new();
-        for ks in &per_query {
-            need.extend(ks.iter().copied());
-        }
-        let keys: Vec<Key> = need.into_iter().collect();
+        self.serve(0, queries, Exactness::Degraded)
+    }
+
+    /// The batch pipeline of frame `t`: plan, fetch the union in parallel,
+    /// then assemble every answer from the batch's own decoded set. Under
+    /// [`Exactness::Degraded`] an undecodable chunk is quarantined and
+    /// filled instead of failing the batch.
+    fn serve(
+        &self,
+        t: usize,
+        queries: &[Query],
+        exactness: Exactness,
+    ) -> Result<Vec<QueryResult>, StoreError> {
+        let frame = self.frame(t)?;
+        let (per_query, need) = plan(frame.meta, queries)?;
+        let degrade = exactness == Exactness::Degraded;
+        let keys: Vec<(usize, usize)> = need.into_iter().collect();
         let fetched: Vec<Result<DecodedChunk, StoreError>> = keys
             .par_iter()
             .map(|&(level, block)| {
-                if self.is_quarantined(level, block) {
+                if degrade && self.is_quarantined((t, level, block)) {
                     Err(StoreError::CorruptChunk { level, block })
                 } else {
-                    self.chunk(level, block)
+                    self.chunk_at(t, level, block)
                 }
             })
             .collect();
-        let mut degraded: BTreeSet<Key> = BTreeSet::new();
-        let mut chunks: HashMap<Key, DecodedChunk> = HashMap::with_capacity(keys.len());
-        for (key, res) in keys.into_iter().zip(fetched) {
-            match res {
-                Ok(c) => {
-                    chunks.insert(key, c);
-                }
-                Err(StoreError::CorruptChunk { .. } | StoreError::Codec { .. }) => {
-                    self.quarantine.lock().expect("quarantine lock").insert(key);
+        let mut chunks = HashMap::with_capacity(keys.len());
+        let mut filled: BTreeSet<(usize, usize)> = BTreeSet::new();
+        for ((level, block), res) in keys.into_iter().zip(fetched) {
+            let chunk = match res {
+                Err(StoreError::CorruptChunk { .. } | StoreError::Codec { .. }) if degrade => {
+                    self.quarantine
+                        .lock()
+                        .expect("quarantine lock")
+                        .insert((t, level, block));
+                    filled.insert((level, block));
                     // Fills never enter the shared cache: an exact read
                     // after the disk heals must not see stale synthetic
                     // data.
-                    chunks.insert(key, self.synthesize_fill(key.0, key.1)?);
-                    degraded.insert(key);
+                    self.synthesize_fill(&frame, level, block)?
                 }
-                Err(e) => return Err(e),
-            }
+                res => res?,
+            };
+            chunks.insert((level, block), chunk);
         }
-        let view = BatchView {
-            server: self,
-            chunks,
-        };
+        // Assembly pulls from the batch's own decoded set, so the responses
+        // are immune to evictions happening underneath (budget 0 included).
+        let view = BatchView { frame, chunks };
         queries
             .iter()
             .zip(per_query)
-            .map(|(q, ks)| {
+            .map(|(q, (level, indices))| {
                 let response = match *q {
                     Query::Level { level } => read::read_level(&view, level).map(Response::Level),
                     Query::Roi {
@@ -481,23 +547,29 @@ impl StoreServer {
                         read::read_level_iso(&view, level, iso).map(Response::Iso)
                     }
                 }?;
-                let flags: Vec<Key> = ks.into_iter().filter(|k| degraded.contains(k)).collect();
-                Ok(QueryResult {
-                    response,
-                    degraded: flags,
-                })
+                let degraded = indices
+                    .into_iter()
+                    .filter(|&i| filled.contains(&(level, i)))
+                    .map(|i| (level, i))
+                    .collect();
+                Ok(QueryResult { response, degraded })
             })
             .collect()
     }
 
-    /// Best-effort replacement for a chunk that will not decode. Starts
-    /// every block at the chunk table's `(min+max)/2` proxy, then overlays
-    /// data from coarser levels, coarsest first, so the *nearest* coarser
-    /// level that covers a cell wins — the same coarse→fine precedence the
-    /// progressive path uses. Coarser chunks that themselves fail to decode
-    /// are skipped (the proxy remains).
-    fn synthesize_fill(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        let meta = self.meta();
+    /// Best-effort replacement for a chunk of `frame` that will not decode.
+    /// Starts every block at the chunk table's `(min+max)/2` proxy, then
+    /// overlays data from coarser levels, coarsest first, so the *nearest*
+    /// coarser level that covers a cell wins — the same coarse→fine
+    /// precedence the progressive path uses. Coarser chunks that themselves
+    /// fail to decode are skipped (the proxy remains).
+    fn synthesize_fill(
+        &self,
+        frame: &Frame<'_>,
+        level: usize,
+        block: usize,
+    ) -> Result<DecodedChunk, StoreError> {
+        let meta = frame.meta;
         let lm = meta
             .levels
             .get(level)
@@ -527,7 +599,7 @@ impl StoreServer {
                 }
                 // NaN marks "no coarse block covers this cell" so real
                 // coarse zeros are not mistaken for absence.
-                let coarse = match read::read_roi(self, lc, clo, chi, f32::NAN) {
+                let coarse = match read::read_roi(frame, lc, clo, chi, f32::NAN) {
                     Ok(f) => f,
                     Err(_) => continue,
                 };
@@ -555,45 +627,77 @@ impl StoreServer {
         })
     }
 
-    /// Parity reconstruction of a chunk whose decode failed: XOR the group's
-    /// surviving members back into the missing payload, verify it against
-    /// the chunk table's CRC (bit-exactness by construction), and run it
-    /// through the normal decode path. Runs inside the cache's decode
-    /// closure, so a successful repair is published to the LRU exactly like
-    /// a clean decode — *unlike* degraded fills, which never enter the
-    /// cache. On failure the caller's original typed error propagates so
-    /// degradation semantics are unchanged.
-    fn try_repair(
-        &self,
-        level: usize,
-        block: usize,
-        original: StoreError,
-    ) -> Result<DecodedChunk, StoreError> {
-        let Some(parity) = &self.parity else {
-            return Err(original);
-        };
-        match parity
-            .reconstruct(&self.reader, level, block)
-            .and_then(|bytes| self.reader.decode_chunk_bytes(level, block, &bytes))
-        {
-            Ok(chunk) => {
-                self.cache.note_repair();
-                Ok(chunk)
+    /// The actual-value chunk `(t, level, block)`, through the cache. On a
+    /// miss: the fault hook, the decode of frame `t`'s stored stream, parity
+    /// repair from frame `t`'s sidecar if that fails, and — for a delta
+    /// chunk — the residual applied onto `(t − 1, level, block)`, itself
+    /// fetched through the cache, so chain prefixes land in the cache and
+    /// are walked once however many clients ask for the tip. The recursion
+    /// cannot deadlock: the decode closure runs outside every cache lock and
+    /// only asks for a strictly smaller `t`.
+    fn chunk_at(&self, t: usize, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
+        self.cache.get_or_decode((t, level, block), || {
+            let store = self.frames.reader(t)?;
+            let faulted = self
+                .fault_hook
+                .as_ref()
+                .is_some_and(|hook| hook(level, block));
+            let decoded = if faulted {
+                Err(StoreError::CorruptChunk { level, block })
+            } else {
+                store.decode_chunk(level, block)
+            };
+            let stored = match decoded {
+                Err(original @ (StoreError::CorruptChunk { .. } | StoreError::Codec { .. })) => {
+                    self.repair(t, store, level, block).ok_or(original)?
+                }
+                other => other?,
+            };
+            if !self.frames.is_delta(t, level, block) {
+                return Ok(stored);
             }
-            Err(_) => {
-                self.cache.note_repair_failure();
-                Err(original)
-            }
-        }
+            // `TemporalReader::open` rejects a delta chunk in frame 0.
+            let prev = t
+                .checked_sub(1)
+                .ok_or(StoreError::Malformed("delta chain has no keyframe root"))?;
+            apply_residual(&self.chunk_at(prev, level, block)?, &stored)
+        })
     }
 
-    /// One background scrub cycle over every chunk of the wrapped store:
-    /// verifies each stored payload against its chunk-table CRC (paced by
-    /// `throttle`), routes corrupt chunks through the online repair path —
-    /// a successful reconstruction lands in the LRU, so subsequent reads of
-    /// a rotted chunk are exact without touching the degraded path — and
-    /// tallies the pass. The wrapped store's bytes are immutable here
-    /// (in-memory or shared file); at-rest healing of files is
+    /// Parity reconstruction of frame `t`'s stored chunk: XOR the group's
+    /// surviving members back into the missing payload, verify it against
+    /// the chunk table's CRC (bit-exactness by construction), and decode
+    /// it. `None` when the frame has no sidecar or its group cannot heal the
+    /// chunk; each attempt on an armed frame is tallied in [`CacheStats`].
+    fn repair(
+        &self,
+        t: usize,
+        store: &StoreReader,
+        level: usize,
+        block: usize,
+    ) -> Option<DecodedChunk> {
+        let parity = self.parity[t].as_ref()?;
+        let healed = parity
+            .reconstruct(store, level, block)
+            .and_then(|bytes| store.decode_chunk_bytes(level, block, &bytes))
+            .ok();
+        if healed.is_some() {
+            self.cache.note_repair();
+        } else {
+            self.cache.note_repair_failure();
+        }
+        healed
+    }
+
+    /// One background scrub cycle over every chunk of frame 0 (the whole
+    /// store of a single-store server; temporal series are scrubbed at rest
+    /// by [`hqmr_store::scrub_temporal`]): verifies each stored payload
+    /// against its chunk-table CRC (paced by `throttle`) and tries parity
+    /// reconstruction on each corrupt one. A chunk counts as repaired only
+    /// when that reconstruction verified; without an armed sidecar every
+    /// corrupt chunk is unrepairable, whatever the cache holds. The wrapped
+    /// store's bytes are immutable here (in-memory or shared file), so reads
+    /// keep repairing the chunk inline; at-rest healing of files is
     /// [`hqmr_store::scrub_store`]'s job.
     pub fn scrub_pass(&self, mut throttle: Option<&mut Throttle>) -> ScrubReport {
         let mut report = ScrubReport {
@@ -601,14 +705,15 @@ impl StoreServer {
             repaired: 0,
             unrepairable: Vec::new(),
             bytes_scanned: 0,
-            sidecar: if self.parity.is_some() {
+            sidecar: if self.parity[0].is_some() {
                 SidecarStatus::Present
             } else {
                 SidecarStatus::Missing
             },
             sidecar_rebuilt: false,
         };
-        let meta = self.reader.meta();
+        let store = self.reader();
+        let meta = store.meta();
         for level in 0..meta.levels.len() {
             for block in 0..meta.levels[level].chunks.len() {
                 let len = meta.levels[level].chunks[block].len as u64;
@@ -616,11 +721,11 @@ impl StoreServer {
                     t.consume(len);
                 }
                 report.bytes_scanned += len;
-                match self.reader.fetch_chunk_bytes(level, block) {
+                match store.fetch_chunk_bytes(level, block) {
                     Ok(_) => report.verified += 1,
-                    Err(_) => match self.chunk(level, block) {
-                        Ok(_) => report.repaired += 1,
-                        Err(_) => report.unrepairable.push((level, block)),
+                    Err(_) => match self.repair(0, store, level, block) {
+                        Some(_) => report.repaired += 1,
+                        None => report.unrepairable.push((level, block)),
                     },
                 }
             }
@@ -628,15 +733,15 @@ impl StoreServer {
         report
     }
 
-    fn is_quarantined(&self, level: usize, block: usize) -> bool {
+    fn is_quarantined(&self, key: TimeKey) -> bool {
         self.quarantine
             .lock()
             .expect("quarantine lock")
-            .contains(&(level, block))
+            .contains(&key)
     }
 
-    /// The `(level, chunk)` pairs currently quarantined (sorted).
-    pub fn quarantined(&self) -> Vec<(usize, usize)> {
+    /// The `(t, level, chunk)` keys currently quarantined (sorted).
+    pub fn quarantined(&self) -> Vec<TimeKey> {
         self.quarantine
             .lock()
             .expect("quarantine lock")
@@ -652,37 +757,80 @@ impl StoreServer {
     }
 }
 
+/// Each query's level and chunk indices, in request order, and the union of
+/// `(level, chunk)` pairs the batch needs, each exactly once.
+type Plan = (Vec<(usize, Vec<usize>)>, BTreeSet<(usize, usize)>);
+
+/// Plans a batch against one frame's directory, from chunk-table accounting
+/// alone (no decoding).
+fn plan(meta: &StoreMeta, queries: &[Query]) -> Result<Plan, StoreError> {
+    let per_query: Vec<(usize, Vec<usize>)> = queries
+        .iter()
+        .map(|q| match *q {
+            Query::Level { level } => {
+                let lm = meta
+                    .levels
+                    .get(level)
+                    .ok_or(StoreError::NoSuchLevel(level))?;
+                Ok((level, (0..lm.chunks.len()).collect()))
+            }
+            Query::Roi { level, lo, hi, .. } => {
+                Ok((level, read::roi_chunk_indices(meta, level, lo, hi)?))
+            }
+            Query::Iso { level, iso } => Ok((level, read::iso_chunk_indices(meta, level, iso)?)),
+        })
+        .collect::<Result<_, StoreError>>()?;
+    let need = per_query
+        .iter()
+        .flat_map(|(level, indices)| indices.iter().map(move |&i| (*level, i)))
+        .collect();
+    Ok((per_query, need))
+}
+
+/// The single-store view: frame 0.
 impl ChunkSource for StoreServer {
     fn store_meta(&self) -> &StoreMeta {
-        self.reader.meta()
+        self.meta()
     }
 
     fn chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
-        self.cache.get_or_decode((level, block), || {
-            let faulted = self
-                .fault_hook
-                .as_ref()
-                .is_some_and(|hook| hook(level, block));
-            let res = if faulted {
-                Err(StoreError::CorruptChunk { level, block })
-            } else {
-                self.reader.decode_chunk(level, block)
-            };
-            match res {
-                Err(original @ (StoreError::CorruptChunk { .. } | StoreError::Codec { .. })) => {
-                    self.try_repair(level, block, original)
-                }
-                other => other,
-            }
-        })
+        self.chunk_at(0, level, block)
+    }
+
+    fn chunks(&self, level: usize, indices: &[usize]) -> Result<Vec<DecodedChunk>, StoreError> {
+        let frame = Frame {
+            server: self,
+            t: 0,
+            meta: self.meta(),
+        };
+        frame.chunks(level, indices)
+    }
+}
+
+/// One frame of a [`StoreServer`] as a [`ChunkSource`] of actual-value
+/// chunks, every one through the server's `(t, level, chunk)` cache
+/// ([`StoreServer::frame`]).
+pub struct Frame<'a> {
+    server: &'a StoreServer,
+    t: usize,
+    meta: &'a StoreMeta,
+}
+
+impl ChunkSource for Frame<'_> {
+    fn store_meta(&self) -> &StoreMeta {
+        self.meta
+    }
+
+    fn chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
+        self.server.chunk_at(self.t, level, block)
     }
 
     /// Bulk override: one lock acquisition harvests every resident chunk,
     /// then only the misses go through the (parallel) single-flight decode
     /// path — a warm read never pays per-chunk locking or thread fan-out.
     fn chunks(&self, level: usize, indices: &[usize]) -> Result<Vec<DecodedChunk>, StoreError> {
-        let keys: Vec<Key> = indices.iter().map(|&i| (level, i)).collect();
-        let mut out = self.cache.get_resident(&keys);
+        let keys: Vec<TimeKey> = indices.iter().map(|&i| (self.t, level, i)).collect();
+        let mut out = self.server.cache.get_resident(&keys);
         let missing: Vec<(usize, usize)> = out
             .iter()
             .enumerate()
@@ -707,23 +855,23 @@ impl ChunkSource for StoreServer {
 }
 
 /// One batch's decoded chunk set, viewed as a [`ChunkSource`] for assembly.
-/// Falls back to the server for anything outside the plan (which only
-/// happens if a query slips past [`StoreServer::plan`] — correctness never
-/// depends on the plan being complete).
+/// Falls back to the frame for anything outside the plan (which only
+/// happens if a query slips past the planner — correctness never depends on
+/// the plan being complete).
 struct BatchView<'a> {
-    server: &'a StoreServer,
-    chunks: HashMap<Key, DecodedChunk>,
+    frame: Frame<'a>,
+    chunks: HashMap<(usize, usize), DecodedChunk>,
 }
 
 impl ChunkSource for BatchView<'_> {
     fn store_meta(&self) -> &StoreMeta {
-        self.server.meta()
+        self.frame.meta
     }
 
     fn chunk(&self, level: usize, block: usize) -> Result<DecodedChunk, StoreError> {
         match self.chunks.get(&(level, block)) {
             Some(c) => Ok(c.clone()),
-            None => self.server.chunk(level, block),
+            None => self.frame.chunk(level, block),
         }
     }
 
@@ -741,15 +889,67 @@ mod tests {
     use hqmr_store::{write_store, StoreConfig};
     use hqmr_sz3::Sz3Codec;
 
-    fn test_server(budget: usize) -> StoreServer {
+    fn test_store() -> Vec<u8> {
         let f = synth::nyx_like(32, 77);
         let mr = to_adaptive(&f, &RoiConfig::new(8, 0.5));
-        let buf = write_store(
+        write_store(
             &mr,
             &StoreConfig::new(1e6).with_chunk_blocks(2),
             &Sz3Codec::default(),
+        )
+    }
+
+    fn test_server(budget: usize) -> StoreServer {
+        StoreServer::new(
+            Arc::new(StoreReader::from_bytes(test_store()).unwrap()),
+            budget,
+        )
+    }
+
+    /// A chunk that rots on disk after it was cached: the cached copy says
+    /// nothing about the stored bytes, so only a verified parity
+    /// reconstruction counts as a repair.
+    #[test]
+    fn scrub_counts_only_verified_parity_repairs() {
+        use std::io::{Seek, SeekFrom, Write};
+        let buf = test_store();
+        let (meta, data_start) = hqmr_store::parse_head(&buf).unwrap();
+        let at = data_start + meta.levels[0].chunks[0].offset;
+        let path =
+            std::env::temp_dir().join(format!("hqmr_serve_scrub_rot_{}.hqst", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        let sidecar = ParitySidecar::from_reader(
+            &StoreReader::from_bytes(buf.clone()).unwrap(),
+            hqmr_store::DEFAULT_PARITY_GROUP,
+        )
+        .unwrap();
+        let s = StoreServer::new(Arc::new(StoreReader::open(&path).unwrap()), UNBOUNDED);
+        s.read_all().unwrap();
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[buf[at as usize] ^ 0xFF]).unwrap();
+        drop(file);
+
+        let report = s.scrub_pass(None);
+        assert_eq!(
+            report.repaired, 0,
+            "no parity armed, nothing can be repaired"
         );
-        StoreServer::new(Arc::new(StoreReader::from_bytes(buf).unwrap()), budget)
+        assert_eq!(report.unrepairable, vec![(0, 0)]);
+        assert_eq!(s.stats().repairs, 0);
+
+        let armed = StoreServer::new(Arc::new(StoreReader::open(&path).unwrap()), UNBOUNDED)
+            .with_parity(sidecar)
+            .unwrap();
+        armed.read_all().unwrap();
+        let report = armed.scrub_pass(None);
+        assert_eq!((report.repaired, report.unrepairable.len()), (1, 0));
+        assert_eq!(
+            armed.stats().repairs,
+            2,
+            "the read and the scrub each healed (0, 0)"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -944,7 +1144,7 @@ mod tests {
         let results = s.serve_batch_degraded(&queries).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].degraded, vec![(0, 0)]);
-        assert_eq!(s.quarantined(), vec![(0, 0)]);
+        assert_eq!(s.quarantined(), vec![(0, 0, 0)]);
         // Blocks outside the corrupt chunk are bit-identical to the oracle;
         // the filled blocks are at least finite.
         let oracle = s.reader().read_level(0).unwrap();

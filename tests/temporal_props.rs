@@ -5,12 +5,13 @@
 //!   produced for the same timestep — the temporal container is a strict
 //!   superset of the snapshot path, not a fork of it;
 //! * with prediction **on**, a time-windowed ROI read equals the per-frame
-//!   ROI reads, and the serving layer returns the same bytes as the bare
-//!   reader at any cache budget.
+//!   ROI reads, and the serving layer's frame views return the same bytes
+//!   as the bare reader at any cache budget.
 
 use hqmr::grid::{synth, Dims3, Field3};
 use hqmr::mr::{resample_like, to_adaptive, MultiResData, RoiConfig};
-use hqmr::serve::TemporalServer;
+use hqmr::serve::StoreServer;
+use hqmr::store::read;
 use hqmr::store::temporal::{Prediction, TemporalReader};
 use hqmr::workflow::mrc::{Backend, MrcConfig};
 use hqmr::workflow::{write_snapshot, TemporalWriter};
@@ -104,6 +105,7 @@ fn window_roi_equals_per_frame_roi_for_every_backend() {
 fn serve_layer_matches_bare_reader_at_every_cache_budget() {
     let mrs = sequence();
     let (lo, hi) = ([0, 0, 0], [16, 16, 8]);
+    let iso = 0.0;
     let backend = Backend::SZ3;
     let dir = fresh_dir("hqmr_tprops_serve");
     let mut writer = TemporalWriter::create(&dir, &config(backend), Prediction::delta()).unwrap();
@@ -114,12 +116,34 @@ fn serve_layer_matches_bare_reader_at_every_cache_budget() {
     let want: Vec<Field3> = (0..STEPS)
         .map(|t| reader.read_roi(t, 0, lo, hi, 0.0).unwrap())
         .collect();
+    let levels = reader.frame_reader(0).unwrap().meta().levels.len();
     for budget in [0, 4096, usize::MAX] {
-        let server = TemporalServer::new(Arc::clone(&reader), budget);
-        let got = server
-            .read_roi_window(0, STEPS - 1, 0, lo, hi, 0.0)
-            .unwrap();
+        let server = StoreServer::temporal(Arc::clone(&reader), budget).unwrap();
+        let got: Vec<Field3> = (0..STEPS)
+            .map(|t| read::read_roi(&server.frame(t).unwrap(), 0, lo, hi, 0.0).unwrap())
+            .collect();
         assert_eq!(got, want, "budget {budget}: server must match bare reader");
+        for t in 0..STEPS {
+            let frame = server.frame(t).unwrap();
+            let bare = reader.frame(t).unwrap();
+            for level in 0..levels {
+                assert_eq!(
+                    read::read_level(&frame, level).unwrap(),
+                    reader.read_level(t, level).unwrap(),
+                    "budget {budget} frame {t} level {level}: read_level"
+                );
+                assert_eq!(
+                    read::read_level_iso(&frame, level, iso).unwrap(),
+                    bare.read_level_iso(level, iso).unwrap(),
+                    "budget {budget} frame {t} level {level}: read_level_iso"
+                );
+            }
+            assert_eq!(
+                read::read_all(&frame).unwrap(),
+                reader.read_frame(t).unwrap(),
+                "budget {budget} frame {t}: read_all"
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
