@@ -1229,9 +1229,11 @@ pub fn serve(scale: usize) -> String {
 /// word-at-a-time bit-IO and table-driven Huffman (entropy overhaul) plus
 /// the predictor/quantizer kernel rows (line-kernel SZ3 passes,
 /// interior-split SZ2 blocks, in-place/fused ZFP transform + batched
-/// bit-plane decode), a store-write throughput row, and end-to-end codec
-/// throughput for context. Emits `BENCH_hotpath.json` at the workspace root
-/// so the before/after MB/s is committed evidence.
+/// bit-plane decode), a store-write throughput row, the per-chunk decode
+/// floor (`chunk_floor`: µs per `decompress` of small cubes, median and MAD
+/// over repeated runs), and end-to-end codec throughput for context. Emits
+/// `BENCH_hotpath.json` at the workspace root so the before/after MB/s is
+/// committed evidence.
 pub fn hotpath(scale: usize) -> String {
     use hqmr_codec::bitio;
     use hqmr_codec::{
@@ -1249,6 +1251,17 @@ pub fn hotpath(scale: usize) -> String {
             best = best.min(t.elapsed().as_secs_f64());
         }
         best
+    }
+
+    /// Median of `xs` (sorted in place).
+    fn median_of(xs: &mut [f64]) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        if n % 2 == 1 {
+            xs[n / 2]
+        } else {
+            (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+        }
     }
 
     let d = datasets::nyx_t1(scale, 81);
@@ -1595,9 +1608,49 @@ pub fn hotpath(scale: usize) -> String {
             chunk_mb / t_par,
             None,
         ));
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads = rayon::current_num_threads();
         (stored_mb / t_w, stored_mb / t_r, threads)
     };
+
+    // Per-chunk decode floor: µs per `decompress` of one small cube cut
+    // from the centre of the field, for each backend. A store chunk of a few
+    // unit blocks is this small, so any cost that does not scale with the
+    // cube shows up here as a floor.
+    const FLOOR_RUNS: usize = 7;
+    let mut floor: Vec<(&str, usize, f64, f64)> = Vec::new();
+    {
+        let codecs: [(&str, Box<dyn Codec>); 3] = [
+            ("sz3", Box::new(hqmr_sz3::Sz3Codec::default())),
+            ("sz2", Box::new(hqmr_sz2::Sz2Codec::MULTIRES)),
+            ("zfp", Box::new(hqmr_zfp::ZfpCodec)),
+        ];
+        let fd = d.field.dims();
+        for side in [4usize, 8, 16] {
+            let origin = [
+                fd.nx.saturating_sub(side) / 2,
+                fd.ny.saturating_sub(side) / 2,
+                fd.nz.saturating_sub(side) / 2,
+            ];
+            let cube = d.field.extract_box(origin, Dims3::cube(side));
+            // Enough calls per run that one run spans a few milliseconds.
+            let iters = 32_768 / side.pow(2);
+            for (name, codec) in &codecs {
+                let bytes = codec.compress(&cube, eb);
+                let mut runs: Vec<f64> = (0..FLOOR_RUNS)
+                    .map(|_| {
+                        let t = Instant::now();
+                        for _ in 0..iters {
+                            std::hint::black_box(codec.decompress(&bytes).unwrap());
+                        }
+                        t.elapsed().as_secs_f64() * 1e6 / iters as f64
+                    })
+                    .collect();
+                let median = median_of(&mut runs);
+                let mut dev: Vec<f64> = runs.iter().map(|r| (r - median).abs()).collect();
+                floor.push((name, side, median, median_of(&mut dev)));
+            }
+        }
+    }
 
     let mut out = format!(
         "Hot-path throughput — {} (scale {scale}, {:.2} MiB of quant codes, \
@@ -1615,6 +1668,15 @@ pub fn hotpath(scale: usize) -> String {
             after / before
         )
         .unwrap();
+    }
+    writeln!(
+        out,
+        "\nchunk floor (decompress of one cube, µs, median ± MAD of {FLOOR_RUNS} runs, \
+         {tile_threads} thread(s)):"
+    )
+    .unwrap();
+    for (name, side, median, mad) in &floor {
+        writeln!(out, "{name:4} {side:2}³ {median:9.2} ± {mad:.2}").unwrap();
     }
     writeln!(
         out,
@@ -1672,6 +1734,24 @@ pub fn hotpath(scale: usize) -> String {
          \"write_MBps\": {store_write_mbps:.1}, \"full_read_MBps\": {store_read_mbps:.1}}},"
     )
     .unwrap();
+    writeln!(
+        json,
+        "  \"chunk_floor\": {{\"available_parallelism\": {tile_threads}, \
+         \"runs\": {FLOOR_RUNS}, \"rows\": ["
+    )
+    .unwrap();
+    for (i, (name, side, median, mad)) in floor.iter().enumerate() {
+        if i > 0 {
+            json.push_str(",\n");
+        }
+        write!(
+            json,
+            "    {{\"codec\": \"{name}\", \"side\": {side}, \
+             \"decompress_us_median\": {median:.2}, \"decompress_us_mad\": {mad:.2}}}"
+        )
+        .unwrap();
+    }
+    json.push_str("\n  ]},\n");
     json.push_str("  \"end_to_end\": [\n");
     for (i, (name, comp, dec)) in e2e.iter().enumerate() {
         if i > 0 {

@@ -2,7 +2,8 @@
 //!
 //! Every bit-IO/Huffman bench runs both the word-at-a-time/table-driven
 //! implementation and the per-bit reference it replaced, so the speedup is
-//! visible in one run. `cargo bench -p hqmr-codec --bench hotpath`
+//! visible in one run; `huffman_decode/small_block` times one 4³ chunk's
+//! block, the per-chunk floor. `cargo bench -p hqmr-codec --bench hotpath`
 //! (`-- --test` for the CI smoke run).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -116,6 +117,20 @@ fn bench_huffman(c: &mut Criterion) {
     g.bench_function("table", |b| b.iter(|| huffman_decode(&block).unwrap()));
     g.bench_function("reference", |b| {
         b.iter(|| huffman_decode_reference(&block).unwrap())
+    });
+    g.finish();
+
+    // One 4³ store chunk's code block: 64 symbols whose header still spans
+    // the quantizer's full 2·32768 alphabet. Decode cost here is the
+    // per-chunk floor, so it must track the 64 symbols, not the alphabet.
+    let mut small = quant_symbols(64);
+    small[63] = 65535;
+    let small_block = huffman_encode(&small);
+    let mut g = c.benchmark_group("huffman_decode");
+    g.sample_size(20)
+        .throughput(Throughput::Bytes((small.len() * 4) as u64));
+    g.bench_function("small_block", |b| {
+        b.iter(|| huffman_decode(&small_block).unwrap())
     });
     g.finish();
 }

@@ -258,27 +258,13 @@ struct DecodeTable {
 }
 
 impl DecodeTable {
-    fn from_lengths(lengths: &[u8]) -> Self {
-        Self::build(lengths, true)
-    }
-
-    /// The walk-only variant: exactly the structure the pre-overhaul decoder
-    /// built (no primary table). [`huffman_decode_reference`] uses this so
-    /// the benched baseline pays only the costs the original code paid.
-    fn from_lengths_walk_only(lengths: &[u8]) -> Self {
-        Self::build(lengths, false)
-    }
-
-    fn build(lengths: &[u8], with_lut: bool) -> Self {
-        let mut by_len: Vec<(u8, u32)> = lengths
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l > 0)
-            .map(|(i, &l)| (l, i as u32))
-            .collect();
-        by_len.sort_unstable();
-        let max_len = by_len.last().map_or(0, |&(l, _)| l);
-        let symbols: Vec<u32> = by_len.iter().map(|&(_, s)| s).collect();
+    /// Builds the table from a parsed header: `counts[len]` codes of each
+    /// length and the present symbols in canonical `(length, symbol)` order.
+    /// `with_lut = false` is the walk-only variant — the structure the
+    /// pre-overhaul decoder built — so [`huffman_decode_reference`] pays only
+    /// the costs the original code paid.
+    fn build(counts: &LenCounts, symbols: Vec<u32>, with_lut: bool) -> Self {
+        let max_len = counts.iter().rposition(|&c| c > 0).unwrap_or(0) as u8;
         let mut levels = vec![(0u64, 0u32, 0u32); max_len as usize + 1];
         let table_bits = TABLE_BITS.min(max_len as u32);
         let lut_len = if max_len == 0 || !with_lut {
@@ -289,23 +275,16 @@ impl DecodeTable {
         let mut lut = vec![0u32; lut_len];
         let mut code = 0u64;
         let mut idx = 0u32;
-        let mut prev_len = 0u8;
-        let mut i = 0usize;
-        while i < by_len.len() {
-            let len = by_len[i].0;
-            code <<= (len - prev_len) as u32;
-            let start = i;
-            while i < by_len.len() && by_len[i].0 == len {
-                i += 1;
-            }
-            let count = (i - start) as u32;
+        for len in 1..=max_len {
+            code <<= 1;
+            let count = counts[len as usize];
             levels[len as usize] = (code, idx, count);
             // Fill the primary table: every `table_bits`-wide stream prefix
             // that starts with this code (bit-reversed, since the stream is
             // LSB-first) resolves in one probe.
             if with_lut && (len as u32) <= table_bits {
                 for k in 0..count {
-                    let sym = by_len[start + k as usize].1;
+                    let sym = symbols[(idx + k) as usize];
                     let rev = reverse_code(code + k as u64, len) as usize;
                     let entry = (sym << 6) | len as u32;
                     let step = 1usize << len;
@@ -318,7 +297,6 @@ impl DecodeTable {
             }
             code += count as u64;
             idx += count;
-            prev_len = len;
         }
         DecodeTable {
             levels,
@@ -535,8 +513,29 @@ fn empty_block(out: &mut Vec<u8>) {
     write_uvarint(out, 0); // payload bytes
 }
 
-/// Parsed block header: lengths table plus payload slice and symbol count.
-fn decode_header(bytes: &[u8]) -> Result<(usize, Vec<u8>, &[u8]), CodecError> {
+/// Number of codes of each length, indexed by length (entry 0 unused).
+type LenCounts = [u32; MAX_CODE_LEN as usize + 1];
+
+/// Parsed block header.
+struct Header<'a> {
+    n_symbols: usize,
+    counts: LenCounts,
+    /// Present symbols in canonical `(length, symbol)` order.
+    symbols: Vec<u32>,
+    payload: &'a [u8],
+}
+
+/// Parses and validates a block header in one pass over its RLE runs, so
+/// the cost is O(runs + present symbols) — never O(alphabet), which for the
+/// quantizer's 2·radius codes is ~64 K entries however small the block.
+///
+/// Besides the table checks (alphabet cap, length limit, run overflow,
+/// Kraft), the symbol count is bounded by the payload before anything is
+/// sized by it: every symbol costs at least the shortest code length in
+/// bits, and every present symbol occurs at least once. Neither bound can
+/// trip on encoder output, and together they cap all allocation and decode
+/// work at a multiple of the input length.
+fn decode_header(bytes: &[u8]) -> Result<Header<'_>, CodecError> {
     let bad = |reason| CodecError::Entropy { reason };
     let mut pos = 0usize;
     let n_symbols = read_uvarint(bytes, &mut pos).ok_or(bad("truncated symbol count"))? as usize;
@@ -544,29 +543,35 @@ fn decode_header(bytes: &[u8]) -> Result<(usize, Vec<u8>, &[u8]), CodecError> {
     if alphabet > MAX_ALPHABET {
         return Err(bad("alphabet too large"));
     }
-    let mut lengths = vec![0u8; alphabet];
+    // Nonzero-length runs as (first symbol, run, length), in symbol order.
+    let mut runs: Vec<(u32, u32, u8)> = Vec::new();
+    let mut counts: LenCounts = [0; MAX_CODE_LEN as usize + 1];
+    // Kraft sum in units of 2^-MAX_CODE_LEN. At most 2^26 symbols of at
+    // most 2^31 units each, so it cannot overflow.
+    let mut kraft = 0u64;
     let mut filled = 0usize;
     while filled < alphabet {
-        let run = read_uvarint(bytes, &mut pos).ok_or(bad("truncated length table"))? as usize;
+        let run = read_uvarint(bytes, &mut pos).ok_or(bad("truncated length table"))?;
         let v = *bytes.get(pos).ok_or(bad("truncated length table"))?;
         pos += 1;
         if v > MAX_CODE_LEN {
             return Err(bad("code length exceeds limit"));
         }
-        if filled + run > alphabet {
+        if run > (alphabet - filled) as u64 {
             return Err(bad("length-table run overflows alphabet"));
         }
-        lengths[filled..filled + run].fill(v);
-        filled += run;
+        // `run` and `filled` are ≤ alphabet ≤ 2^26, so both fit `u32`.
+        let run = run as u32;
+        if v > 0 && run > 0 {
+            counts[v as usize] += run;
+            kraft += (run as u64) << (MAX_CODE_LEN - v);
+            runs.push((filled as u32, run, v));
+        }
+        filled += run as usize;
     }
     // Kraft inequality: a table that over-subscribes the code space cannot
     // have come from the encoder, and a prefix-free guarantee is what makes
     // the primary-table and canonical-walk decoders provably agree.
-    let kraft: u64 = lengths
-        .iter()
-        .filter(|&&l| l > 0)
-        .map(|&l| 1u64 << (MAX_CODE_LEN - l))
-        .sum();
     if kraft > 1u64 << MAX_CODE_LEN {
         return Err(bad("code lengths violate Kraft inequality"));
     }
@@ -574,16 +579,67 @@ fn decode_header(bytes: &[u8]) -> Result<(usize, Vec<u8>, &[u8]), CodecError> {
     let payload = bytes
         .get(pos..pos.saturating_add(payload_len))
         .ok_or(bad("truncated payload"))?;
-    Ok((n_symbols, lengths, payload))
+    let present: usize = counts.iter().map(|&c| c as usize).sum();
+    if present > n_symbols {
+        return Err(bad("more present symbols than symbols"));
+    }
+    if n_symbols > 0 {
+        let shortest = counts
+            .iter()
+            .position(|&c| c > 0)
+            .ok_or(bad("invalid code"))?;
+        if n_symbols as u128 * shortest as u128 > payload.len() as u128 * 8 {
+            return Err(bad("symbol count exceeds payload bits"));
+        }
+    }
+    // Counting sort by length: runs arrive in symbol order, so each length
+    // class fills in ascending symbol order — canonical order, no sort.
+    let mut next: LenCounts = [0; MAX_CODE_LEN as usize + 1];
+    let mut at = 0u32;
+    for (slot, &c) in next.iter_mut().zip(&counts) {
+        *slot = at;
+        at += c;
+    }
+    let mut symbols = vec![0u32; present];
+    for &(first, run, len) in &runs {
+        let slot = &mut next[len as usize];
+        let start = *slot as usize;
+        for (dst, sym) in symbols[start..start + run as usize].iter_mut().zip(first..) {
+            *dst = sym;
+        }
+        *slot += run;
+    }
+    Ok(Header {
+        n_symbols,
+        counts,
+        symbols,
+        payload,
+    })
+}
+
+/// The error for a decode loop that read past the end of its payload:
+/// the trailing symbols came from zero padding, not from the block.
+fn check_consumed(bit_pos: usize, payload: &[u8]) -> Result<(), CodecError> {
+    if bit_pos > payload.len() * 8 {
+        return Err(CodecError::Entropy {
+            reason: "decode ran past payload",
+        });
+    }
+    Ok(())
 }
 
 /// Decodes a block produced by [`huffman_encode`].
 pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let (n_symbols, lengths, payload) = decode_header(bytes)?;
+    let Header {
+        n_symbols,
+        counts,
+        symbols,
+        payload,
+    } = decode_header(bytes)?;
     if n_symbols == 0 {
         return Ok(Vec::new());
     }
-    let table = DecodeTable::from_lengths(&lengths);
+    let table = DecodeTable::build(&counts, symbols, true);
     let mut reader = BitReader::new(payload);
     let mut out = Vec::with_capacity(n_symbols);
     for _ in 0..n_symbols {
@@ -591,6 +647,7 @@ pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
             reason: "invalid code",
         })?);
     }
+    check_consumed(reader.bit_pos(), payload)?;
     Ok(out)
 }
 
@@ -658,11 +715,16 @@ mod packed_tests {
 /// [`huffman_decode`] accepts; kept for differential tests and the hot-path
 /// bench.
 pub fn huffman_decode_reference(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let (n_symbols, lengths, payload) = decode_header(bytes)?;
+    let Header {
+        n_symbols,
+        counts,
+        symbols,
+        payload,
+    } = decode_header(bytes)?;
     if n_symbols == 0 {
         return Ok(Vec::new());
     }
-    let table = DecodeTable::from_lengths_walk_only(&lengths);
+    let table = DecodeTable::build(&counts, symbols, false);
     let mut reader = reference::BitReader::new(payload);
     let mut out = Vec::with_capacity(n_symbols);
     for _ in 0..n_symbols {
@@ -680,6 +742,7 @@ pub fn huffman_decode_reference(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
             reason: "invalid code",
         })?);
     }
+    check_consumed(reader.bit_pos(), payload)?;
     Ok(out)
 }
 
@@ -796,6 +859,232 @@ mod tests {
             })
         );
         assert_eq!(huffman_decode_reference(&bytes), huffman_decode(&bytes));
+    }
+
+    /// Oracle for [`decode_header`]: the dense parse — a length table over
+    /// the whole alphabet, the Kraft sum over it, then a filter and sort.
+    /// Returns the present `(length, symbol)` pairs in canonical order.
+    fn dense_header_oracle(bytes: &[u8]) -> Result<Vec<(u8, u32)>, CodecError> {
+        let bad = |reason| CodecError::Entropy { reason };
+        let mut pos = 0usize;
+        read_uvarint(bytes, &mut pos).ok_or(bad("truncated symbol count"))?;
+        let alphabet =
+            read_uvarint(bytes, &mut pos).ok_or(bad("truncated alphabet size"))? as usize;
+        if alphabet > MAX_ALPHABET {
+            return Err(bad("alphabet too large"));
+        }
+        let mut lengths = vec![0u8; alphabet];
+        let mut filled = 0usize;
+        while filled < alphabet {
+            let run = read_uvarint(bytes, &mut pos).ok_or(bad("truncated length table"))? as usize;
+            let v = *bytes.get(pos).ok_or(bad("truncated length table"))?;
+            pos += 1;
+            if v > MAX_CODE_LEN {
+                return Err(bad("code length exceeds limit"));
+            }
+            if run > alphabet - filled {
+                return Err(bad("length-table run overflows alphabet"));
+            }
+            lengths[filled..filled + run].fill(v);
+            filled += run;
+        }
+        let kraft: u64 = lengths
+            .iter()
+            .filter(|&&l| l > 0)
+            .map(|&l| 1u64 << (MAX_CODE_LEN - l))
+            .sum();
+        if kraft > 1u64 << MAX_CODE_LEN {
+            return Err(bad("code lengths violate Kraft inequality"));
+        }
+        let payload_len =
+            read_uvarint(bytes, &mut pos).ok_or(bad("truncated payload size"))? as usize;
+        bytes
+            .get(pos..pos.saturating_add(payload_len))
+            .ok_or(bad("truncated payload"))?;
+        let mut by_len: Vec<(u8, u32)> = lengths
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l > 0)
+            .map(|(i, &l)| (l, i as u32))
+            .collect();
+        by_len.sort_unstable();
+        Ok(by_len)
+    }
+
+    /// A block header over `runs` of `(run, length)`. The symbol count is
+    /// the present-symbol count and the payload holds enough bits for every
+    /// symbol at the longest length, so the payload bounds never trip.
+    fn header_from_runs(runs: &[(usize, u8)]) -> Vec<u8> {
+        let alphabet: usize = runs.iter().map(|&(r, _)| r).sum();
+        let present: usize = runs.iter().filter(|&&(_, l)| l > 0).map(|&(r, _)| r).sum();
+        let longest = runs.iter().map(|&(_, l)| l as usize).max().unwrap_or(0);
+        let mut bytes = Vec::new();
+        write_uvarint(&mut bytes, present as u64);
+        write_uvarint(&mut bytes, alphabet as u64);
+        for &(run, len) in runs {
+            write_uvarint(&mut bytes, run as u64);
+            bytes.push(len);
+        }
+        let payload = (present * longest).div_ceil(8);
+        write_uvarint(&mut bytes, payload as u64);
+        bytes.resize(bytes.len() + payload, 0);
+        bytes
+    }
+
+    /// Runs `decode_header` and flattens its output to the oracle's shape.
+    fn sparse_pairs(bytes: &[u8]) -> Result<Vec<(u8, u32)>, CodecError> {
+        let h = decode_header(bytes)?;
+        let mut pairs = Vec::with_capacity(h.symbols.len());
+        let mut syms = h.symbols.iter();
+        for (len, &count) in h.counts.iter().enumerate() {
+            pairs.extend(syms.by_ref().take(count as usize).map(|&s| (len as u8, s)));
+        }
+        Ok(pairs)
+    }
+
+    #[test]
+    fn sparse_header_matches_dense_oracle() {
+        const RADIUS: usize = 32768;
+        let cases: Vec<Vec<(usize, u8)>> = vec![
+            // Gaps between present symbols.
+            vec![(5, 0), (2, 2), (10, 0), (2, 3), (7, 0), (1, 3)],
+            // An alphabet of exactly 2·radius, codes around the centre and
+            // at the very last symbol.
+            vec![
+                (RADIUS - 2, 0),
+                (1, 2),
+                (1, 1),
+                (1, 3),
+                (RADIUS - 2, 0),
+                (1, 3),
+            ],
+            // Runs that cross length classes: each class is split across
+            // several runs interleaved with the others.
+            vec![(2, 3), (1, 2), (2, 4), (1, 3), (2, 5), (4, 5), (1, 4)],
+            // A single symbol.
+            vec![(7, 0), (1, 1)],
+            // Codes longer than the primary table, up to the length limit.
+            vec![
+                (1, 1),
+                (1, 2),
+                (1, 3),
+                (4, 13),
+                (2, 20),
+                (3, 32),
+                (9, 0),
+                (5, 31),
+            ],
+            // Zero-length runs and a trailing zero run are accepted.
+            vec![(0, 4), (1, 1), (0, 0), (1, 2), (4, 0)],
+        ];
+        for runs in &cases {
+            let bytes = header_from_runs(runs);
+            let oracle = dense_header_oracle(&bytes).unwrap();
+            assert!(!oracle.is_empty(), "case must have codes: {runs:?}");
+            assert_eq!(sparse_pairs(&bytes).unwrap(), oracle, "runs {runs:?}");
+        }
+        assert!(
+            cases[4].iter().any(|&(_, l)| l as u32 > TABLE_BITS),
+            "a case needs codes past the primary table"
+        );
+
+        // Seeded random run layouts: a mix of Kraft-valid tables (same
+        // pairs) and over-subscribed ones (same typed error).
+        let mut x: u64 = 0x5EED_0F0A_C1E5;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..400 {
+            let n_runs = 1 + next(24) as usize;
+            let runs: Vec<(usize, u8)> = (0..n_runs)
+                .map(|_| {
+                    let run = 1 + next(40) as usize;
+                    let len = match next(6) {
+                        0 | 1 => 0,
+                        2 => 1 + next(10) as u8,
+                        _ => 8 + next(25) as u8,
+                    };
+                    (run, len)
+                })
+                .collect();
+            let bytes = header_from_runs(&runs);
+            let oracle = dense_header_oracle(&bytes);
+            match &oracle {
+                Ok(_) => accepted += 1,
+                Err(_) => rejected += 1,
+            }
+            assert_eq!(sparse_pairs(&bytes), oracle, "runs {runs:?}");
+        }
+        assert!(
+            accepted > 50 && rejected > 50,
+            "{accepted} ok, {rejected} err"
+        );
+    }
+
+    #[test]
+    fn oversized_symbol_counts_are_rejected_before_allocating() {
+        // One length-1 code and a claimed symbol count far beyond the
+        // payload. 4·10^9 symbols over no payload (9 bytes) used to
+        // "decode" 4·10^9 zero-padding symbols; 2^40 symbols over 10 payload
+        // bytes (20 bytes) aborted the process allocating the output.
+        for (n_symbols, payload_len, block_len) in
+            [(4_000_000_000u64, 0usize, 9), (1 << 40, 10, 20)]
+        {
+            let mut bytes = Vec::new();
+            write_uvarint(&mut bytes, n_symbols);
+            write_uvarint(&mut bytes, 1); // alphabet
+            write_uvarint(&mut bytes, 1); // run
+            bytes.push(1); // one 1-bit code
+            write_uvarint(&mut bytes, payload_len as u64);
+            bytes.resize(bytes.len() + payload_len, 0);
+            assert_eq!(bytes.len(), block_len);
+            let start = std::time::Instant::now();
+            let expect = Err(CodecError::Entropy {
+                reason: "symbol count exceeds payload bits",
+            });
+            assert_eq!(huffman_decode(&bytes), expect);
+            assert_eq!(huffman_decode_reference(&bytes), expect);
+            assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        }
+    }
+
+    #[test]
+    fn header_bounds_reject_what_the_encoder_never_writes() {
+        // More present symbols than symbols in the block.
+        let mut bytes = Vec::new();
+        write_uvarint(&mut bytes, 1); // n_symbols
+        write_uvarint(&mut bytes, 2); // alphabet
+        write_uvarint(&mut bytes, 2); // run
+        bytes.push(1); // two 1-bit codes
+        write_uvarint(&mut bytes, 1); // payload len
+        bytes.push(0);
+        let expect = Err(CodecError::Entropy {
+            reason: "more present symbols than symbols",
+        });
+        assert_eq!(huffman_decode(&bytes), expect);
+        assert_eq!(huffman_decode_reference(&bytes), expect);
+
+        // Codes 0, 10, 11 over a 0xFF byte: eight symbols fit the shortest
+        // length bound, but "10"/"11" consume the byte after four, and the
+        // rest would come from zero padding.
+        let mut bytes = Vec::new();
+        write_uvarint(&mut bytes, 8); // n_symbols
+        write_uvarint(&mut bytes, 3); // alphabet
+        write_uvarint(&mut bytes, 1); // run
+        bytes.push(1);
+        write_uvarint(&mut bytes, 2); // run
+        bytes.push(2);
+        write_uvarint(&mut bytes, 1); // payload len
+        bytes.push(0xFF);
+        let expect = Err(CodecError::Entropy {
+            reason: "decode ran past payload",
+        });
+        assert_eq!(huffman_decode(&bytes), expect);
+        assert_eq!(huffman_decode_reference(&bytes), expect);
     }
 
     #[test]

@@ -531,7 +531,7 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let workers = if cfg.workers == 0 {
-            std::thread::available_parallelism().map_or(4, usize::from)
+            rayon::current_num_threads()
         } else {
             cfg.workers
         };

@@ -2,7 +2,8 @@
 //!
 //! The build environment has no crates.io access, so the data-parallel
 //! surface the workspace uses — `par_chunks_mut(..).for_each`, optionally
-//! `.enumerate()`, and `par_iter().map(..).collect()` — is reimplemented on
+//! `.enumerate()`, `par_iter().map(..).collect()` and
+//! `current_num_threads()` — is reimplemented on
 //! `std::thread::scope`. Work is split into one contiguous group per
 //! available core; results of `collect` preserve input order. Single-item or
 //! single-core inputs run inline with zero thread overhead.
@@ -10,12 +11,20 @@
 //! Swapping the real rayon back in is a per-crate `Cargo.toml` change; call
 //! sites don't move.
 
+use std::sync::OnceLock;
+
+/// Number of threads a fan-out may use: the available core count, read once
+/// per process. `std::thread::available_parallelism` re-reads cgroup files
+/// on every call (tens of µs on a containerized Linux host), which would
+/// otherwise be paid per chunk.
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
 /// Number of worker threads for `n` independent items.
 fn threads_for(n: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n.max(1))
+    current_num_threads().min(n.max(1))
 }
 
 /// Runs `f(index, item)` over all items, fanning out across cores.
@@ -201,6 +210,13 @@ mod tests {
         let v: Vec<u32> = (0..1000).collect();
         let doubled: Vec<u64> = v.par_iter().map(|&x| x as u64 * 2).collect();
         assert_eq!(doubled, (0..1000u64).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn thread_count_is_stable_and_positive() {
+        let n = super::current_num_threads();
+        assert!(n >= 1);
+        assert_eq!(super::current_num_threads(), n);
     }
 
     #[test]
