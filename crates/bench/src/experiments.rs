@@ -1,11 +1,11 @@
 //! One function per paper table/figure. Each returns a plain-text report;
 //! the `tables` binary dispatches and persists them under `results/`.
 
-use crate::datasets;
 use crate::runner::{
     level_psnr, level_values, match_cr, mr_blockwise_roundtrip, psnr_slices, rd_sweep,
     roundtrip_mr, row, single_level, BlockCodec, MkConfig, RdPoint,
 };
+use crate::{datasets, load, obj, Json};
 use hqmr_core::mrc::{compress_mr, decompress_mr, Backend, MrcConfig};
 use hqmr_core::post::{bezier_pass, select_intensity, select_intensity_sampled, PostConfig};
 use hqmr_core::uncertainty::{analyze_feature_recovery, model_near_isovalue, sample_error_pairs};
@@ -829,13 +829,8 @@ pub fn store(scale: usize) -> String {
          backend  store(KiB)  write(s)   full(s)  full(KiB)   roi(s)  roi(KiB)   iso(s)  iso(KiB)\n",
         d.name
     );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"rel_eb\": 8e-3,\n  \
-         \"chunk_blocks\": 4,\n  \"records\": [\n",
-        d.name
-    );
     let kib = |b: u64| b as f64 / 1024.0;
-    let mut first = true;
+    let mut records = Vec::new();
     for backend in Backend::ALL {
         let cfg = StoreConfig::new(eb).with_chunk_blocks(4);
         let codec = backend.codec();
@@ -920,38 +915,22 @@ pub fn store(scale: usize) -> String {
             .unwrap();
         }
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let prog: Vec<String> = steps
-            .iter()
-            .map(|(level, s, bytes)| {
-                format!("{{\"level\": {level}, \"cum_s\": {s:.6}, \"cum_bytes\": {bytes}}}")
-            })
-            .collect();
-        write!(
-            json,
-            "    {{\"backend\": \"{}\", \"store_bytes\": {store_bytes}, \
-             \"write_s\": {t_write:.6}, \
-             \"full_read_s\": {t_full:.6}, \"full_read_bytes\": {full_bytes}, \
-             \"roi\": [[{}, {}, {}], [{}, {}, {}]], \
-             \"roi_read_s\": {t_roi:.6}, \"roi_read_bytes\": {roi_bytes}, \
-             \"iso_read_s\": {t_iso:.6}, \"iso_read_bytes\": {iso_bytes}, \
-             \"progressive\": [{}]}}",
-            backend.name(),
-            lo[0],
-            lo[1],
-            lo[2],
-            hi[0],
-            hi[1],
-            hi[2],
-            prog.join(", "),
-        )
-        .unwrap();
+        let progressive = steps.iter().map(|&(level, s, bytes)| {
+            obj! {"level": level, "cum_s": Json::num(s, 6), "cum_bytes": bytes}
+        });
+        records.push(obj! {
+            "backend": backend.name(), "store_bytes": store_bytes, "write_s": Json::num(t_write, 6),
+            "full_read_s": Json::num(t_full, 6), "full_read_bytes": full_bytes,
+            "roi": vec![lo.to_vec(), hi.to_vec()], "roi_read_s": Json::num(t_roi, 6),
+            "roi_read_bytes": roi_bytes, "iso_read_s": Json::num(t_iso, 6),
+            "iso_read_bytes": iso_bytes, "progressive": progressive.collect::<Vec<_>>(),
+        });
     }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_store.json", &json, &mut out);
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "rel_eb": Json::Raw("8e-3".into()),
+        "chunk_blocks": 4usize, "records": Json::Rows(records),
+    };
+    crate::write_root_json("BENCH_store.json", &root, &mut out);
     out
 }
 
@@ -978,15 +957,7 @@ pub fn codecs(scale: usize) -> String {
          backend arrange   rel_eb       CR     PSNR  comp(MiB/s)  dec(MiB/s)\n",
         d.name, stored_mb
     );
-    let mut json = String::from("{\n");
-    write!(
-        json,
-        "  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"stored_cells\": {},\n  \"records\": [\n",
-        d.name,
-        mr.total_cells()
-    )
-    .unwrap();
-    let mut first = true;
+    let mut records = Vec::new();
     let vals_a: Vec<f32> = mr.levels.iter().flat_map(level_values).collect();
     for backend in Backend::ALL {
         for (aname, mk) in arrangements {
@@ -1010,30 +981,20 @@ pub fn codecs(scale: usize) -> String {
                     stored_mb / t_dec.max(1e-9),
                 )
                 .unwrap();
-                if !first {
-                    json.push_str(",\n");
-                }
-                first = false;
-                let psnr_json = if p.is_finite() {
-                    format!("{p:.3}")
-                } else {
-                    "null".to_string()
-                };
-                write!(
-                    json,
-                    "    {{\"backend\": \"{}\", \"arrangement\": \"{aname}\", \
-                     \"rel_eb\": {rel:e}, \"bytes\": {}, \"cr\": {:.3}, \"psnr\": {psnr_json}, \
-                     \"compress_s\": {t_comp:.6}, \"decompress_s\": {t_dec:.6}}}",
-                    backend.name(),
-                    bytes.len(),
-                    stats.ratio(),
-                )
-                .unwrap();
+                records.push(obj! {
+                    "backend": backend.name(), "arrangement": aname,
+                    "rel_eb": Json::Raw(format!("{rel:e}")), "bytes": bytes.len(),
+                    "cr": Json::num(stats.ratio(), 3), "psnr": Json::num(p, 3),
+                    "compress_s": Json::num(t_comp, 6), "decompress_s": Json::num(t_dec, 6),
+                });
             }
         }
     }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_codecs.json", &json, &mut out);
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "stored_cells": mr.total_cells(),
+        "records": Json::Rows(records),
+    };
+    crate::write_root_json("BENCH_codecs.json", &root, &mut out);
     out
 }
 
@@ -1062,36 +1023,7 @@ pub fn serve(scale: usize) -> String {
     let mr = d.mr.as_ref().unwrap();
     let eb = d.range() * 8e-3;
     let (mn, mx) = d.field.min_max();
-    let iso = mn + 0.6 * (mx - mn);
-
-    // The query mix one interactive client issues per pass: eight ROI
-    // bricks sweeping the fine level (half of them revisiting earlier
-    // regions, as a panning viewer does), one isovalue skim, one coarse
-    // overview.
-    let fine = mr.levels[0].dims;
-    let brick = [
-        (fine.nx / 2).max(1),
-        (fine.ny / 2).max(1),
-        (fine.nz / 4).max(1),
-    ];
-    let mut queries: Vec<Query> = Vec::new();
-    for k in 0..8usize {
-        let lo = [
-            (k % 2) * (fine.nx - brick[0]),
-            ((k / 2) % 2) * (fine.ny - brick[1]),
-            (k % 4) * (fine.nz - brick[2]) / 3,
-        ];
-        queries.push(Query::Roi {
-            level: 0,
-            lo,
-            hi: [lo[0] + brick[0], lo[1] + brick[1], lo[2] + brick[2]],
-            fill: mn,
-        });
-    }
-    queries.push(Query::Iso { level: 0, iso });
-    queries.push(Query::Level {
-        level: mr.levels.len() - 1,
-    });
+    let queries = load::viewer_mix(mr, mn, mn + 0.6 * (mx - mn));
 
     let run_client = |server: &StoreServer| {
         for q in &queries {
@@ -1120,14 +1052,7 @@ pub fn serve(scale: usize) -> String {
         d.name,
         queries.len()
     );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"rel_eb\": 8e-3,\n  \
-         \"chunk_blocks\": 4,\n  \"queries_per_pass\": {},\n  \"clients\": {CLIENTS},\n  \
-         \"records\": [\n",
-        d.name,
-        queries.len()
-    );
-    let mut first = true;
+    let mut records = Vec::new();
     for backend in Backend::ALL {
         let cfg = StoreConfig::new(eb).with_chunk_blocks(4);
         let codec = backend.codec();
@@ -1193,34 +1118,28 @@ pub fn serve(scale: usize) -> String {
         )
         .unwrap();
 
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        write!(
-            json,
-            "    {{\"backend\": \"{}\", \"store_bytes\": {}, \
-             \"cold_s\": {cold_s:.6}, \"warm_s\": {warm_s:.6}, \"warm_speedup\": {warm_speedup:.2}, \
-             \"batch_cold_s\": {batch_s:.6}, \
-             \"single_client_qps\": {single_qps:.2}, \"concurrent_agg_qps\": {agg_qps:.2}, \
-             \"agg_speedup\": {agg_speedup:.2}, \
-             \"cold_cache\": {{\"requests\": {}, \"hits\": {}, \"misses\": {}, \"bytes_decoded\": {cold_bytes}}}, \
-             \"concurrent_cache\": {{\"requests\": {}, \"hits\": {}, \"shared\": {}, \"misses\": {}, \"resident_bytes\": {}}}}}",
-            backend.name(),
-            buf.len(),
-            cold_stats.requests,
-            cold_stats.hits,
-            cold_stats.misses,
-            conc_stats.requests,
-            conc_stats.hits,
-            conc_stats.shared,
-            conc_stats.misses,
-            conc_stats.resident_bytes,
-        )
-        .unwrap();
+        records.push(obj! {
+            "backend": backend.name(), "store_bytes": buf.len(), "cold_s": Json::num(cold_s, 6),
+            "warm_s": Json::num(warm_s, 6), "warm_speedup": Json::num(warm_speedup, 2),
+            "batch_cold_s": Json::num(batch_s, 6), "single_client_qps": Json::num(single_qps, 2),
+            "concurrent_agg_qps": Json::num(agg_qps, 2), "agg_speedup": Json::num(agg_speedup, 2),
+            "cold_cache": obj! {
+                "requests": cold_stats.requests, "hits": cold_stats.hits,
+                "misses": cold_stats.misses, "bytes_decoded": cold_bytes,
+            },
+            "concurrent_cache": obj! {
+                "requests": conc_stats.requests, "hits": conc_stats.hits,
+                "shared": conc_stats.shared, "misses": conc_stats.misses,
+                "resident_bytes": conc_stats.resident_bytes,
+            },
+        });
     }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_serve.json", &json, &mut out);
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "rel_eb": Json::Raw("8e-3".into()),
+        "chunk_blocks": 4usize, "queries_per_pass": queries.len(), "clients": CLIENTS,
+        "records": Json::Rows(records),
+    };
+    crate::write_root_json("BENCH_serve.json", &root, &mut out);
     out
 }
 
@@ -1251,17 +1170,6 @@ pub fn hotpath(scale: usize) -> String {
             best = best.min(t.elapsed().as_secs_f64());
         }
         best
-    }
-
-    /// Median of `xs` (sorted in place).
-    fn median_of(xs: &mut [f64]) -> f64 {
-        xs.sort_by(f64::total_cmp);
-        let n = xs.len();
-        if n % 2 == 1 {
-            xs[n / 2]
-        } else {
-            (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-        }
     }
 
     let d = datasets::nyx_t1(scale, 81);
@@ -1645,9 +1553,11 @@ pub fn hotpath(scale: usize) -> String {
                         t.elapsed().as_secs_f64() * 1e6 / iters as f64
                     })
                     .collect();
-                let median = median_of(&mut runs);
+                runs.sort_by(f64::total_cmp);
+                let median = load::pct(&runs, 0.5);
                 let mut dev: Vec<f64> = runs.iter().map(|r| (r - median).abs()).collect();
-                floor.push((name, side, median, median_of(&mut dev)));
+                dev.sort_by(f64::total_cmp);
+                floor.push((name, side, median, load::pct(&dev, 0.5)));
             }
         }
     }
@@ -1688,7 +1598,7 @@ pub fn hotpath(scale: usize) -> String {
     // End-to-end codec throughput on the same data (context: the entropy
     // stage is one term of the full pipeline).
     writeln!(out, "\nend-to-end (paper arrangement, rel_eb 1e-3):").unwrap();
-    let mut e2e: Vec<(&str, f64, f64)> = Vec::new();
+    let mut e2e = Vec::new();
     for backend in [Backend::SZ3, Backend::SZ2, Backend::ZFP] {
         let cfg = MrcConfig::ours_pad(eb).with_backend(backend);
         let t_c = best_of(5, || compress_mr(mr, &cfg).0.len());
@@ -1702,70 +1612,43 @@ pub fn hotpath(scale: usize) -> String {
             stored_mb / t_d
         )
         .unwrap();
-        e2e.push((backend.name(), stored_mb / t_c, stored_mb / t_d));
+        e2e.push(obj! {
+            "backend": backend.name(), "compress_MBps": Json::num(stored_mb / t_c, 1),
+            "decompress_MBps": Json::num(stored_mb / t_d, 1),
+        });
     }
 
-    let mut json = String::from("{\n");
-    write!(
-        json,
-        "  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"stored_mb\": {stored_mb:.3},\n  \
-         \"symbol_mb\": {symbol_mb:.3},\n  \"symbol_count\": {symbol_count},\n  \
-         \"tile_threads\": {tile_threads},\n  \"records\": [\n",
-        d.name
-    )
-    .unwrap();
-    for (i, (stage, before, after, scalar)) in records.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
+    let stages = records.iter().map(|&(stage, before, after, scalar)| {
+        let mut rec = vec![
+            ("stage", Json::from(stage)),
+            ("before_MBps", Json::num(before, 1)),
+            ("after_MBps", Json::num(after, 1)),
+        ];
+        rec.extend(scalar.map(|s| ("scalar_MBps", Json::num(s, 1))));
+        rec.push(("speedup", Json::num(after / before, 3)));
+        Json::Obj(rec)
+    });
+    let floor_rows = floor.iter().map(|&(name, side, median, mad)| {
+        obj! {
+            "codec": name, "side": side, "decompress_us_median": Json::num(median, 2),
+            "decompress_us_mad": Json::num(mad, 2),
         }
-        let sca = scalar.map_or(String::new(), |s| format!(", \"scalar_MBps\": {s:.1}"));
-        write!(
-            json,
-            "    {{\"stage\": \"{stage}\", \"before_MBps\": {before:.1}, \
-             \"after_MBps\": {after:.1}{sca}, \"speedup\": {:.3}}}",
-            after / before
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ],\n");
-    writeln!(
-        json,
-        "  \"store_write\": {{\"backend\": \"sz3\", \"chunk_blocks\": 4, \
-         \"write_MBps\": {store_write_mbps:.1}, \"full_read_MBps\": {store_read_mbps:.1}}},"
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "  \"chunk_floor\": {{\"available_parallelism\": {tile_threads}, \
-         \"runs\": {FLOOR_RUNS}, \"rows\": ["
-    )
-    .unwrap();
-    for (i, (name, side, median, mad)) in floor.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"codec\": \"{name}\", \"side\": {side}, \
-             \"decompress_us_median\": {median:.2}, \"decompress_us_mad\": {mad:.2}}}"
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ]},\n");
-    json.push_str("  \"end_to_end\": [\n");
-    for (i, (name, comp, dec)) in e2e.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"backend\": \"{name}\", \"compress_MBps\": {comp:.1}, \
-             \"decompress_MBps\": {dec:.1}}}"
-        )
-        .unwrap();
-    }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_hotpath.json", &json, &mut out);
+    });
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "stored_mb": Json::num(stored_mb, 3),
+        "symbol_mb": Json::num(symbol_mb, 3), "symbol_count": symbol_count,
+        "tile_threads": tile_threads, "records": Json::Rows(stages.collect()),
+        "store_write": obj! {
+            "backend": "sz3", "chunk_blocks": 4usize, "write_MBps": Json::num(store_write_mbps, 1),
+            "full_read_MBps": Json::num(store_read_mbps, 1),
+        },
+        "chunk_floor": obj! {
+            "available_parallelism": tile_threads, "runs": FLOOR_RUNS,
+            "rows": Json::Rows(floor_rows.collect()),
+        },
+        "end_to_end": Json::Rows(e2e),
+    };
+    crate::write_root_json("BENCH_hotpath.json", &root, &mut out);
     out
 }
 
@@ -1779,121 +1662,34 @@ pub fn hotpath(scale: usize) -> String {
 /// latency sample is one full round-trip: encode, two socket hops, shard
 /// dispatch, serve, decode.
 pub fn net(scale: usize) -> String {
-    use hqmr_net::{DatasetSpec, NetClient, NetConfig, NetError, NetServer};
-    use hqmr_serve::{Query, UNBOUNDED};
-    use hqmr_store::{write_store, StoreConfig, StoreReader};
-    use std::sync::Arc;
-    use std::time::Instant;
+    use hqmr_net::{NetClient, NetConfig};
+    use hqmr_serve::UNBOUNDED;
+    use hqmr_store::{write_store, StoreConfig};
 
     const PASSES: usize = 3;
     let d = datasets::nyx_t1(scale, 53);
     let mr = d.mr.as_ref().unwrap();
     let eb = d.range() * 8e-3;
     let (mn, mx) = d.field.min_max();
-    let iso = mn + 0.6 * (mx - mn);
 
     // Same viewer-like mix as the in-process serving bench, issued as
     // individual requests so each one is a latency sample.
-    let fine = mr.levels[0].dims;
-    let brick = [
-        (fine.nx / 2).max(1),
-        (fine.ny / 2).max(1),
-        (fine.nz / 4).max(1),
-    ];
-    let mut mix: Vec<Query> = Vec::new();
-    for k in 0..8usize {
-        let lo = [
-            (k % 2) * (fine.nx - brick[0]),
-            ((k / 2) % 2) * (fine.ny - brick[1]),
-            (k % 4) * (fine.nz - brick[2]) / 3,
-        ];
-        mix.push(Query::Roi {
-            level: 0,
-            lo,
-            hi: [lo[0] + brick[0], lo[1] + brick[1], lo[2] + brick[2]],
-            fill: mn,
-        });
-    }
-    mix.push(Query::Iso { level: 0, iso });
-    mix.push(Query::Level {
-        level: mr.levels.len() - 1,
-    });
+    let mix = load::viewer_mix(mr, mn, mn + 0.6 * (mx - mn));
 
-    let buf = write_store(
-        mr,
-        &StoreConfig::new(eb).with_chunk_blocks(4),
-        &hqmr_sz3::Sz3Codec::default(),
-    );
+    let scfg = StoreConfig::new(eb).with_chunk_blocks(4);
+    let buf = write_store(mr, &scfg, &hqmr_sz3::Sz3Codec::default());
     let store_bytes = buf.len();
-    let spawn = |cfg: NetConfig| {
-        NetServer::spawn(
-            "127.0.0.1:0",
-            cfg,
-            vec![DatasetSpec {
-                id: 0,
-                name: d.name.to_string(),
-                reader: Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
-            }],
-        )
-        .expect("spawn fleet")
-    };
-
-    /// Drives `clients` threads × `PASSES` passes of the mix against
-    /// `addr`; returns (per-request seconds, wall seconds, busy retries).
-    fn drive(
-        addr: std::net::SocketAddr,
-        clients: usize,
-        mix: &[Query],
-        passes: usize,
-    ) -> (Vec<f64>, f64, u64) {
-        let t0 = Instant::now();
-        let results: Vec<(Vec<f64>, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut client = NetClient::connect(addr).expect("connect");
-                        let mut lat = Vec::with_capacity(passes * mix.len());
-                        let mut busy = 0u64;
-                        for _ in 0..passes {
-                            for q in mix {
-                                let t = Instant::now();
-                                loop {
-                                    match client.batch(0, std::slice::from_ref(q)) {
-                                        Ok(r) => {
-                                            std::hint::black_box(r);
-                                            break;
-                                        }
-                                        Err(NetError::Busy) => {
-                                            busy += 1;
-                                            std::thread::yield_now();
-                                        }
-                                        Err(e) => panic!("request failed: {e}"),
-                                    }
-                                }
-                                lat.push(t.elapsed().as_secs_f64());
-                            }
-                        }
-                        (lat, busy)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+    // A fresh fleet per cell (cold cache), driven by plain one-attempt
+    // batches; Busy answers are retried by the driver and counted.
+    let run = |cfg: NetConfig, clients: usize, passes: usize| {
+        let server = load::fleet(d.name, &buf, cfg);
+        let addr = server.local_addr();
+        let connect = |_| NetClient::connect(addr).expect("connect");
+        let tally = load::drive(clients, passes, &mix, connect, |c, q| {
+            c.batch(0, std::slice::from_ref(q)).map(|_| true)
         });
-        let wall = t0.elapsed().as_secs_f64();
-        let mut lat = Vec::new();
-        let mut busy = 0;
-        for (l, b) in results {
-            lat.extend(l);
-            busy += b;
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        (lat, wall, busy)
-    }
-
-    fn pct(sorted: &[f64], q: f64) -> f64 {
-        let i = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[i]
-    }
+        (server, tally)
+    };
 
     let budgets: [(&str, usize); 2] = [("64KiB", 64 << 10), ("unbounded", UNBOUNDED)];
     let client_counts = [1usize, 4, 16];
@@ -1906,89 +1702,70 @@ pub fn net(scale: usize) -> String {
         store_bytes as f64 / 1024.0,
         mix.len(),
     );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"rel_eb\": 8e-3,\n  \
-         \"store_bytes\": {store_bytes},\n  \"requests_per_pass\": {},\n  \
-         \"passes\": {PASSES},\n  \"records\": [\n",
-        d.name,
-        mix.len(),
-    );
-    let mut first = true;
+    let mut records = Vec::new();
     for (bname, budget) in budgets {
         for clients in client_counts {
-            // Fresh fleet per cell: cold cache, default worker pool.
-            let server = spawn(NetConfig {
+            let cfg = NetConfig {
                 cache_budget: budget,
-                max_connections: 64,
                 ..NetConfig::default()
-            });
-            let (lat, wall, busy) = drive(server.local_addr(), clients, &mix, PASSES);
-            let total = lat.len() as f64;
-            let (p50, p99) = (pct(&lat, 0.50) * 1e3, pct(&lat, 0.99) * 1e3);
-            let qps = total / wall;
+            };
+            let (server, t) = run(cfg, clients, PASSES);
+            let (p50, p99) = (t.pct_ms(0.50), t.pct_ms(0.99));
+            let qps = t.latency.len() as f64 / t.wall;
             let mut probe = NetClient::connect(server.local_addr()).expect("stats probe");
-            let stats = probe.stats(0, false).expect("stats");
+            let cache = probe.stats(0, false).expect("stats").cache;
             writeln!(
                 out,
-                "{bname:9} {clients:8} {p50:9.3} {p99:9.3} {qps:10.1} {busy:14} {:6} {:8}",
-                stats.cache.hits, stats.cache.misses,
+                "{bname:9} {clients:8} {p50:9.3} {p99:9.3} {qps:10.1} {:14} {:6} {:8}",
+                t.busy, cache.hits, cache.misses,
             )
             .unwrap();
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            write!(
-                json,
-                "    {{\"budget\": \"{bname}\", \"clients\": {clients}, \
-                 \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \"agg_qps\": {qps:.2}, \
-                 \"requests\": {}, \"busy_retries\": {busy}, \
-                 \"cache\": {{\"requests\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}}}}}",
-                lat.len(),
-                stats.cache.requests,
-                stats.cache.hits,
-                stats.cache.misses,
-                stats.cache.evictions,
-            )
-            .unwrap();
+            records.push(obj! {
+                "budget": bname, "clients": clients, "p50_ms": Json::num(p50, 4),
+                "p99_ms": Json::num(p99, 4), "agg_qps": Json::num(qps, 2),
+                "requests": t.latency.len(), "busy_retries": t.busy,
+                "cache": obj! {
+                    "requests": cache.requests, "hits": cache.hits, "misses": cache.misses,
+                    "evictions": cache.evictions,
+                },
+            });
         }
     }
 
     // Saturation: a deliberately starved fleet — overload must surface as
     // typed Busy answers while every client still finishes its work.
-    let server = spawn(NetConfig {
+    let starved = NetConfig {
         workers: 1,
         queue_depth: 1,
         cache_budget: 0,
-        max_connections: 64,
         ..NetConfig::default()
-    });
-    let (lat, wall, busy) = drive(server.local_addr(), 16, &mix, 1);
+    };
+    let (server, t) = run(starved, 16, 1);
     let busy_server = server.busy_rejections();
     writeln!(
         out,
         "saturation (1 worker, queue depth 1, cache off, 16 clients): \
-         {} requests in {wall:.2}s, {busy} Busy retries observed by clients \
+         {} requests in {:.2}s, {} Busy retries observed by clients \
          ({busy_server} rejected server-side), p99 {:.1} ms",
-        lat.len(),
-        pct(&lat, 0.99) * 1e3,
+        t.latency.len(),
+        t.wall,
+        t.busy,
+        t.pct_ms(0.99),
     )
     .unwrap();
-    write!(
-        json,
-        ",\n    {{\"budget\": \"saturation\", \"clients\": 16, \"workers\": 1, \
-         \"queue_depth\": 1, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-         \"agg_qps\": {:.2}, \"requests\": {}, \"busy_retries\": {busy}, \
-         \"busy_rejections_server\": {busy_server}}}",
-        pct(&lat, 0.50) * 1e3,
-        pct(&lat, 0.99) * 1e3,
-        lat.len() as f64 / wall,
-        lat.len(),
-    )
-    .unwrap();
+    records.push(obj! {
+        "budget": "saturation", "clients": 16usize, "workers": 1usize, "queue_depth": 1usize,
+        "p50_ms": Json::num(t.pct_ms(0.50), 4), "p99_ms": Json::num(t.pct_ms(0.99), 4),
+        "agg_qps": Json::num(t.latency.len() as f64 / t.wall, 2), "requests": t.latency.len(),
+        "busy_retries": t.busy, "busy_rejections_server": busy_server,
+    });
 
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_net.json", &json, &mut out);
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "rel_eb": Json::Raw("8e-3".into()),
+        "store_bytes": store_bytes, "requests_per_pass": mix.len(), "passes": PASSES,
+        "records": Json::Rows(records),
+    };
+    crate::write_root_json("BENCH_net.json", &root, &mut out);
     out
 }
 
@@ -2000,52 +1777,21 @@ pub fn net(scale: usize) -> String {
 /// zero); failures must be the typed give-up. Availability is the fraction
 /// of operations that returned data (exact or quality-flagged).
 pub fn faults(scale: usize) -> String {
-    use hqmr_net::{
-        ChaosConfig, ClientConfig, DatasetSpec, NetClient, NetConfig, NetError, NetServer,
-    };
-    use hqmr_serve::Query;
-    use hqmr_store::{write_store, StoreConfig, StoreReader};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use hqmr_store::{write_store, StoreConfig};
 
     const CLIENTS: usize = 8;
     const PASSES: usize = 3;
     const RETRIES: usize = 12;
-    /// An operation running past this long counts as a hang — far beyond
-    /// the deadline + full-backoff envelope of one retried request.
-    const HANG: Duration = Duration::from_secs(10);
 
     let d = datasets::nyx_t1(scale, 59);
     let mr = d.mr.as_ref().unwrap();
     let eb = d.range() * 8e-3;
     let (mn, mx) = d.field.min_max();
 
-    let fine = mr.levels[0].dims;
-    let mix: Vec<Query> = vec![
-        Query::Level {
-            level: mr.levels.len() - 1,
-        },
-        Query::Roi {
-            level: 0,
-            lo: [0, 0, 0],
-            hi: [
-                (fine.nx / 2).max(1),
-                (fine.ny / 2).max(1),
-                (fine.nz / 2).max(1),
-            ],
-            fill: mn,
-        },
-        Query::Iso {
-            level: 0,
-            iso: mn + 0.6 * (mx - mn),
-        },
-    ];
+    let mix = load::chaos_mix(mr, mn, mn + 0.6 * (mx - mn));
 
-    let buf = write_store(
-        mr,
-        &StoreConfig::new(eb).with_chunk_blocks(4),
-        &hqmr_sz3::Sz3Codec::default(),
-    );
+    let scfg = StoreConfig::new(eb).with_chunk_blocks(4);
+    let buf = write_store(mr, &scfg, &hqmr_sz3::Sz3Codec::default());
     let store_bytes = buf.len();
 
     // Deterministic per-row fault levels, keyed to one fixed seed.
@@ -2061,16 +1807,6 @@ pub fn faults(scale: usize) -> String {
         ),
     ];
 
-    let client_cfg = ClientConfig {
-        connect_timeout: Some(Duration::from_secs(5)),
-        read_timeout: Some(Duration::from_secs(2)),
-        write_timeout: Some(Duration::from_secs(2)),
-        request_deadline: Some(Duration::from_secs(3)),
-        backoff_base: Duration::from_micros(200),
-        backoff_cap: Duration::from_millis(5),
-        ..ClientConfig::default()
-    };
-
     let mut out = format!(
         "Fault tolerance — {} (scale {scale}, sz3 store {:.1} KiB, {CLIENTS} clients × \
          {PASSES} passes × {} ops, retry budget {RETRIES}, degraded reads)\n\
@@ -2079,123 +1815,49 @@ pub fn faults(scale: usize) -> String {
         store_bytes as f64 / 1024.0,
         mix.len(),
     );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"store_bytes\": {store_bytes},\n  \
-         \"clients\": {CLIENTS},\n  \"passes\": {PASSES},\n  \"retry_budget\": {RETRIES},\n  \
-         \"records\": [\n",
-        d.name,
-    );
+    let mut records = Vec::new();
+    for (row, chaos) in rows {
+        let server = load::fleet(d.name, &buf, load::chaos_fleet(chaos));
+        // Chaos shoots down handshakes too; redial up to 100 times.
+        let t = load::chaos_drive(
+            server.local_addr(),
+            CLIENTS,
+            PASSES,
+            &mix,
+            0xFA17,
+            100,
+            RETRIES,
+        );
 
-    for (i, (row, chaos)) in rows.into_iter().enumerate() {
-        let chaos_cfg = chaos.map(|s| ChaosConfig::parse(s).expect("chaos grammar"));
-        let server = NetServer::spawn(
-            "127.0.0.1:0",
-            NetConfig {
-                chaos: chaos_cfg,
-                read_timeout: Some(Duration::from_millis(500)),
-                write_timeout: Some(Duration::from_secs(5)),
-                request_deadline: Some(Duration::from_secs(5)),
-                max_connections: 64,
-                ..NetConfig::default()
-            },
-            vec![DatasetSpec {
-                id: 0,
-                name: d.name.to_string(),
-                reader: Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
-            }],
-        )
-        .expect("spawn fleet");
-        let addr = server.local_addr();
-
-        // (ok_exact, ok_degraded, gave_up, hangs, latencies)
-        let results: Vec<(u64, u64, u64, u64, Vec<f64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..CLIENTS)
-                .map(|t| {
-                    let mix = &mix;
-                    let mut cfg = client_cfg.clone();
-                    cfg.jitter_seed = 0xFA17 ^ t as u64;
-                    s.spawn(move || {
-                        // Chaos shoots down handshakes too; redial until one
-                        // survives.
-                        let mut client = (0..100)
-                            .find_map(|_| NetClient::connect_with(addr, cfg.clone()).ok())
-                            .expect("no handshake survived 100 dials");
-                        let (mut exact, mut degraded, mut gave_up, mut hangs) = (0u64, 0, 0, 0);
-                        let mut lat = Vec::with_capacity(PASSES * mix.len());
-                        for _ in 0..PASSES {
-                            for q in mix {
-                                let t0 = Instant::now();
-                                match client.batch_degraded_retry(
-                                    0,
-                                    std::slice::from_ref(q),
-                                    RETRIES,
-                                ) {
-                                    Ok(rs) => {
-                                        if rs.iter().all(|r| r.is_exact()) {
-                                            exact += 1;
-                                        } else {
-                                            degraded += 1;
-                                        }
-                                    }
-                                    Err(NetError::RetriesExhausted { .. }) => gave_up += 1,
-                                    Err(e) => panic!("untyped failure under chaos: {e}"),
-                                }
-                                let el = t0.elapsed();
-                                if el >= HANG {
-                                    hangs += 1;
-                                }
-                                lat.push(el.as_secs_f64());
-                            }
-                        }
-                        (exact, degraded, gave_up, hangs, lat)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        let (mut exact, mut degraded, mut gave_up, mut hangs) = (0u64, 0u64, 0u64, 0u64);
-        let mut lat = Vec::new();
-        for (e, dg, g, h, l) in results {
-            exact += e;
-            degraded += dg;
-            gave_up += g;
-            hangs += h;
-            lat.extend(l);
-        }
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let pct = |q: f64| lat[((lat.len() - 1) as f64 * q).round() as usize] * 1e3;
-        let total = exact + degraded + gave_up;
-        let avail = 100.0 * (exact + degraded) as f64 / total as f64;
-        let (p50, p99) = (pct(0.50), pct(0.99));
+        let avail =
+            100.0 * (t.exact + t.degraded) as f64 / (t.exact + t.degraded + t.gave_up) as f64;
+        let (p50, p99) = (t.pct_ms(0.50), t.pct_ms(0.99));
         let (dl, busy) = (server.deadline_rejections(), server.busy_rejections());
-        assert_eq!(hangs, 0, "chaos row `{row}` hung {hangs} operations");
+        assert_eq!(t.hangs, 0, "chaos row `{row}` hung {} operations", t.hangs);
         if chaos.is_none() {
             assert_eq!(avail, 100.0, "clean row must be fully available");
-            assert_eq!(degraded, 0, "clean row must not degrade");
+            assert_eq!(t.degraded, 0, "clean row must not degrade");
         }
 
         writeln!(
             out,
-            "{row:8} {avail:8.1} {exact:7} {degraded:10} {gave_up:9} {hangs:7} {p50:9.3} {p99:9.3} {dl:10} {busy:6}",
+            "{row:8} {avail:8.1} {:7} {:10} {:9} {:7} {p50:9.3} {p99:9.3} {dl:10} {busy:6}",
+            t.exact, t.degraded, t.gave_up, t.hangs,
         )
         .unwrap();
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"chaos\": \"{row}\", \"switches\": \"{}\", \"availability_pct\": {avail:.2}, \
-             \"exact\": {exact}, \"degraded\": {degraded}, \"gave_up\": {gave_up}, \
-             \"hangs\": {hangs}, \"p50_ms\": {p50:.4}, \"p99_ms\": {p99:.4}, \
-             \"deadline_rejections\": {dl}, \"busy_rejections\": {busy}}}",
-            chaos.unwrap_or(""),
-        )
-        .unwrap();
+        records.push(obj! {
+            "chaos": row, "switches": chaos.unwrap_or(""), "availability_pct": Json::num(avail, 2),
+            "exact": t.exact, "degraded": t.degraded, "gave_up": t.gave_up, "hangs": t.hangs,
+            "p50_ms": Json::num(p50, 4), "p99_ms": Json::num(p99, 4), "deadline_rejections": dl,
+            "busy_rejections": busy,
+        });
     }
 
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_faults.json", &json, &mut out);
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "store_bytes": store_bytes, "clients": CLIENTS,
+        "passes": PASSES, "retry_budget": RETRIES, "records": Json::Rows(records),
+    };
+    crate::write_root_json("BENCH_faults.json", &root, &mut out);
     out
 }
 
@@ -2226,12 +1888,9 @@ pub fn temporal(scale: usize) -> String {
         "Temporal stores — advected GRF sequence ({STEPS} frames of {scale}³, rel eb 8e-3)\n\
          backend  indep(KiB)  temporal(KiB)   ratio  delta%   write(s)  max_err/eb\n"
     );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"advected-grf\",\n  \"scale\": {scale},\n  \"frames\": {STEPS},\n  \
-         \"rel_eb\": 8e-3,\n  \"records\": [\n"
-    );
     let kib = |b: u64| b as f64 / 1024.0;
-    for (bi, backend) in Backend::ALL.into_iter().enumerate() {
+    let mut records = Vec::new();
+    for backend in Backend::ALL {
         let cfg = MrcConfig::baseline(eb).with_backend(backend);
         let codec = backend.codec();
 
@@ -2289,23 +1948,18 @@ pub fn temporal(scale: usize) -> String {
             max_err / eb,
         )
         .unwrap();
-        if bi > 0 {
-            json.push_str(",\n");
-        }
-        write!(
-            json,
-            "    {{\"backend\": \"{}\", \"independent_bytes\": {independent}, \
-             \"temporal_bytes\": {temporal}, \"ratio\": {ratio:.4}, \
-             \"delta_chunk_frac\": {:.4}, \"write_s\": {t_write:.4}, \
-             \"max_err_over_eb\": {:.4}}}",
-            backend.name(),
-            delta_chunks as f64 / total_chunks.max(1) as f64,
-            max_err / eb,
-        )
-        .unwrap();
+        records.push(obj! {
+            "backend": backend.name(), "independent_bytes": independent, "temporal_bytes": temporal,
+            "ratio": Json::num(ratio, 4),
+            "delta_chunk_frac": Json::num(delta_chunks as f64 / total_chunks.max(1) as f64, 4),
+            "write_s": Json::num(t_write, 4), "max_err_over_eb": Json::num(max_err / eb, 4),
+        });
     }
-    json.push_str("\n  ]\n}\n");
-    crate::write_root_json("BENCH_temporal.json", &json, &mut out);
+    let root = obj! {
+        "dataset": "advected-grf", "scale": scale, "frames": STEPS,
+        "rel_eb": Json::Raw("8e-3".into()), "records": Json::Rows(records),
+    };
+    crate::write_root_json("BENCH_temporal.json", &root, &mut out);
     out
 }
 
@@ -2315,17 +1969,13 @@ pub fn temporal(scale: usize) -> String {
 /// is *repaired* (served bit-exactly), not merely degraded; without them,
 /// the degraded-read behaviour of the fault bench reappears.
 pub fn scrub(scale: usize) -> String {
-    use hqmr_net::{
-        ChaosConfig, ClientConfig, DatasetSpec, NetClient, NetConfig, NetError, NetServer,
-    };
-    use hqmr_serve::Query;
+    use hqmr_net::{NetClient, NetConfig};
     use hqmr_store::temporal::{Prediction, TemporalReader};
     use hqmr_store::{
-        parity_path, scrub_store, write_store_with_parity, StoreConfig, StoreReader, Throttle,
+        parity_path, scrub_store, write_store_with_parity, StoreConfig, Throttle,
         DEFAULT_PARITY_GROUP,
     };
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     const CLIENTS: usize = 4;
     const PASSES: usize = 3;
@@ -2336,22 +1986,8 @@ pub fn scrub(scale: usize) -> String {
     let eb = d.range() * 8e-3;
     let (mn, _mx) = d.field.min_max();
 
-    let fine = mr.levels[0].dims;
-    let mix: Vec<Query> = vec![
-        Query::Level {
-            level: mr.levels.len() - 1,
-        },
-        Query::Roi {
-            level: 0,
-            lo: [0, 0, 0],
-            hi: [
-                (fine.nx / 2).max(1),
-                (fine.ny / 2).max(1),
-                (fine.nz / 2).max(1),
-            ],
-            fill: mn,
-        },
-    ];
+    // The chaos mix's overview and ROI reads; scrub skips the iso skim.
+    let mix = &load::chaos_mix(mr, mn, mn)[..2];
 
     let scfg = StoreConfig::new(eb)
         .with_chunk_blocks(2)
@@ -2372,16 +2008,6 @@ pub fn scrub(scale: usize) -> String {
         );
     }
 
-    let client_cfg = ClientConfig {
-        connect_timeout: Some(Duration::from_secs(5)),
-        read_timeout: Some(Duration::from_secs(2)),
-        write_timeout: Some(Duration::from_secs(2)),
-        request_deadline: Some(Duration::from_secs(3)),
-        backoff_base: Duration::from_micros(200),
-        backoff_cap: Duration::from_millis(5),
-        ..ClientConfig::default()
-    };
-
     // Chunk-rot levels: `flip:P` faults each (level, block) with
     // probability P at fetch time. `flip:1` rots every chunk — the
     // worst-case acceptance row.
@@ -2400,79 +2026,18 @@ pub fn scrub(scale: usize) -> String {
         sidecar.len() as f64 / 1024.0,
         overhead * 100.0,
     );
-    let mut json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"scale\": {scale},\n  \"store_bytes\": {},\n  \
-         \"sidecar_bytes\": {},\n  \"parity_group\": {DEFAULT_PARITY_GROUP},\n  \
-         \"parity_overhead\": {overhead:.4},\n  \"records\": [\n",
-        d.name,
-        buf.len(),
-        sidecar.len(),
-    );
-
-    let mut first = true;
+    let mut records = Vec::new();
     for (row, chaos) in rows {
         for parity_on in [false, true] {
-            let server = NetServer::spawn(
-                "127.0.0.1:0",
-                NetConfig {
-                    chaos: chaos.map(|s| ChaosConfig::parse(s).expect("chaos grammar")),
-                    parity_group: if parity_on { DEFAULT_PARITY_GROUP } else { 0 },
-                    read_timeout: Some(Duration::from_millis(500)),
-                    write_timeout: Some(Duration::from_secs(5)),
-                    request_deadline: Some(Duration::from_secs(5)),
-                    max_connections: 64,
-                    ..NetConfig::default()
-                },
-                vec![DatasetSpec {
-                    id: 0,
-                    name: d.name.to_string(),
-                    reader: Arc::new(StoreReader::from_bytes(buf.clone()).unwrap()),
-                }],
-            )
-            .expect("spawn fleet");
+            let cfg = NetConfig {
+                parity_group: if parity_on { DEFAULT_PARITY_GROUP } else { 0 },
+                ..load::chaos_fleet(chaos)
+            };
+            let server = load::fleet(d.name, &buf, cfg);
             let addr = server.local_addr();
-
-            let results: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..CLIENTS)
-                    .map(|t| {
-                        let mix = &mix;
-                        let mut cfg = client_cfg.clone();
-                        cfg.jitter_seed = 0x5CB ^ t as u64;
-                        s.spawn(move || {
-                            let mut client = NetClient::connect_with(addr, cfg.clone())
-                                .expect("clean handshake (no wire chaos armed)");
-                            let (mut exact, mut degraded, mut gave_up) = (0u64, 0u64, 0u64);
-                            for _ in 0..PASSES {
-                                for q in mix {
-                                    match client.batch_degraded_retry(
-                                        0,
-                                        std::slice::from_ref(q),
-                                        RETRIES,
-                                    ) {
-                                        Ok(rs) => {
-                                            if rs.iter().all(|r| r.is_exact()) {
-                                                exact += 1;
-                                            } else {
-                                                degraded += 1;
-                                            }
-                                        }
-                                        Err(NetError::RetriesExhausted { .. }) => gave_up += 1,
-                                        Err(e) => panic!("untyped failure under rot: {e}"),
-                                    }
-                                }
-                            }
-                            (exact, degraded, gave_up)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            let (mut exact, mut degraded, mut gave_up) = (0u64, 0u64, 0u64);
-            for (e, dg, g) in results {
-                exact += e;
-                degraded += dg;
-                gave_up += g;
-            }
+            // No wire chaos is armed: every client's first handshake must hold.
+            let t = load::chaos_drive(addr, CLIENTS, PASSES, mix, 0x5CB, 1, RETRIES);
+            let (exact, degraded, gave_up) = (t.exact, t.degraded, t.gave_up);
             let mut probe = NetClient::connect(addr).expect("stats probe");
             let stats = probe.stats(0, false).expect("stats");
             let total = exact + degraded + gave_up;
@@ -2505,22 +2070,14 @@ pub fn scrub(scale: usize) -> String {
                 stats.cache.repair_failures,
             )
             .unwrap();
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            write!(
-                json,
-                "    {{\"chaos\": \"{row}\", \"parity\": {parity_on}, \
-                 \"availability_pct\": {avail:.2}, \"exact_pct\": {exact_pct:.2}, \
-                 \"exact\": {exact}, \"degraded\": {degraded}, \"gave_up\": {gave_up}, \
-                 \"repairs\": {}, \"repair_failures\": {}}}",
-                stats.cache.repairs, stats.cache.repair_failures,
-            )
-            .unwrap();
+            records.push(obj! {
+                "chaos": row, "parity": parity_on, "availability_pct": Json::num(avail, 2),
+                "exact_pct": Json::num(exact_pct, 2), "exact": exact, "degraded": degraded,
+                "gave_up": gave_up, "repairs": stats.cache.repairs,
+                "repair_failures": stats.cache.repair_failures,
+            });
         }
     }
-    json.push_str("\n  ],\n");
 
     // At-rest scrub: flip a few chunks on disk, heal them in place, and
     // time a full unpaced verification pass.
@@ -2558,13 +2115,6 @@ pub fn scrub(scale: usize) -> String {
         report.bytes_scanned as f64 / 1e6,
     )
     .unwrap();
-    writeln!(
-        json,
-        "  \"at_rest\": {{\"verified\": {}, \"planted\": {flipped}, \"repaired\": {}, \
-         \"bytes_scanned\": {}, \"scrub_s\": {scrub_s:.4}, \"scrub_mb_s\": {mbps:.1}}},",
-        report.verified, report.repaired, report.bytes_scanned,
-    )
-    .unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
     // Torn-run salvage: crash a short temporal run mid-frame and recover.
@@ -2595,17 +2145,22 @@ pub fn scrub(scale: usize) -> String {
         salvage.kept, salvage.dropped, salvage.repaired_chunks,
     )
     .unwrap();
-    write!(
-        json,
-        "  \"salvage\": {{\"frames\": {steps}, \"kept\": {}, \"dropped\": {}, \
-         \"repaired_chunks\": {}}}\n}}\n",
-        salvage.kept,
-        salvage.dropped.len(),
-        salvage.repaired_chunks,
-    )
-    .unwrap();
     let _ = std::fs::remove_dir_all(&tdir);
 
-    crate::write_root_json("BENCH_scrub.json", &json, &mut out);
+    let root = obj! {
+        "dataset": d.name, "scale": scale, "store_bytes": buf.len(), "sidecar_bytes": sidecar.len(),
+        "parity_group": DEFAULT_PARITY_GROUP, "parity_overhead": Json::num(overhead, 4),
+        "records": Json::Rows(records),
+        "at_rest": obj! {
+            "verified": report.verified, "planted": flipped, "repaired": report.repaired,
+            "bytes_scanned": report.bytes_scanned, "scrub_s": Json::num(scrub_s, 4),
+            "scrub_mb_s": Json::num(mbps, 1),
+        },
+        "salvage": obj! {
+            "frames": steps, "kept": salvage.kept, "dropped": salvage.dropped.len(),
+            "repaired_chunks": salvage.repaired_chunks,
+        },
+    };
+    crate::write_root_json("BENCH_scrub.json", &root, &mut out);
     out
 }

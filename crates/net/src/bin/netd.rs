@@ -8,6 +8,9 @@
 //!      (--demo SCALE | STORE.hqst ...)
 //! ```
 //!
+//! `--max-conns` must be at least 1: the daemon prints its catalog over one
+//! loopback connection of its own.
+//!
 //! Dataset ids are assigned in argument order. `--demo SCALE` hosts two
 //! synthetic stores (SCALE³ cells each) instead of files, for smoke tests
 //! and load generation without data on disk.
@@ -34,7 +37,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: netd [--addr HOST:PORT] [--workers N] [--queue N] [--max-conns N] \
          [--budget BYTES] [--parity GROUP] [--scrub BYTES/SEC] \
-         (--demo SCALE | STORE.hqst ...)"
+         (--demo SCALE | STORE.hqst ...)\n\
+         --max-conns must be at least 1"
     );
     std::process::exit(2);
 }
@@ -89,6 +93,10 @@ fn main() {
             }
             path => paths.push(path.to_string()),
         }
+    }
+    if cfg.max_connections == 0 {
+        eprintln!("netd: --max-conns 0 would refuse the daemon's own catalog connection");
+        usage();
     }
 
     match ChaosConfig::from_env() {

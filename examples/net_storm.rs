@@ -10,20 +10,25 @@
 //! storm it over sockets — the same panning-viewer access pattern as
 //! `roi_storm`, but every query now pays encode + two socket hops + shard
 //! dispatch. Overload comes back as typed `Busy` answers that clients
-//! retry, and the cache ledger still proves each chunk decoded once for
-//! the whole fleet. With an address argument the fleet half is skipped and
-//! the storm hits a remote `netd` instead.
+//! retry under `NetClient::batch_retry`'s capped jittered backoff, and the
+//! cache ledger still proves each chunk decoded once for the whole fleet.
+//! With an address argument the fleet half is skipped and the storm hits a
+//! remote `netd` instead.
 
-use hqmr::net::{DatasetSpec, NetClient, NetConfig, NetError, NetServer};
+use hqmr::net::{DatasetSpec, NetClient, NetConfig, NetServer};
 use hqmr::serve::Query;
 use hqmr::store::{write_store, StoreConfig, StoreReader};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const CLIENTS: usize = 16;
 const OPS_PER_CLIENT: usize = 32;
+/// Retries per query before a typed give-up. With the default backoff
+/// (0.5 ms doubling to a 50 ms cap, jittered to 50–100%) this rides out
+/// 1.5–3 s of back-to-back `Busy` answers for one query.
+const RETRIES: usize = 64;
 
 fn main() {
     let remote = std::env::args().nth(1);
@@ -81,79 +86,58 @@ fn main() {
         info.compressed_bytes / 1024,
     );
     let fine = info.domain;
-    // Reset the stats window so the ledger below covers exactly this storm.
-    let _ = probe.stats(0, true);
+    // Reset the cache window so the ledger below covers exactly this
+    // storm; the server-global Busy counter is only peeked, so the storm's
+    // share is the difference across it.
+    let busy_before = probe.stats(0, true).expect("stats").busy_rejections;
 
     let t0 = Instant::now();
-    let totals: Vec<(u64, u64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                s.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0x0057_0911 + client as u64);
-                    let mut client = NetClient::connect(addr).expect("connect");
-                    let mut ok = 0u64;
-                    let mut busy = 0u64;
-                    for _ in 0..OPS_PER_CLIENT {
-                        // 25% of steps pull the coarse overview (the pan-out
-                        // gesture); the rest pan fine-level bricks.
-                        let q = if rng.gen_range(0u32..4) == 0 {
-                            Query::Level {
-                                level: info.levels - 1,
-                            }
-                        } else {
-                            let brick = [fine.nx / 4, fine.ny / 4, fine.nz / 4];
-                            let lo = [
-                                rng.gen_range(0..=fine.nx - brick[0]),
-                                rng.gen_range(0..=fine.ny - brick[1]),
-                                rng.gen_range(0..=fine.nz - brick[2]),
-                            ];
-                            Query::Roi {
-                                level: 0,
-                                lo,
-                                hi: [lo[0] + brick[0], lo[1] + brick[1], lo[2] + brick[2]],
-                                fill: 0.0,
-                            }
-                        };
-                        let mut attempt = 0u32;
-                        loop {
-                            match client.batch(0, std::slice::from_ref(&q)) {
-                                Ok(_) => {
-                                    ok += 1;
-                                    break;
-                                }
-                                Err(NetError::Busy) => {
-                                    busy += 1;
-                                    // Capped jittered backoff, not a
-                                    // scheduler spin (same policy as
-                                    // `batch_retry`, counted here for the
-                                    // report).
-                                    let cap = 100u64 << attempt.min(6);
-                                    let us = rng.gen_range(cap / 2..=cap);
-                                    std::thread::sleep(Duration::from_micros(us));
-                                    attempt += 1;
-                                }
-                                Err(e) => panic!("storm request failed: {e}"),
-                            }
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x0057_0911 + client as u64);
+                let mut client = NetClient::connect(addr).expect("connect");
+                for _ in 0..OPS_PER_CLIENT {
+                    // 25% of steps pull the coarse overview (the pan-out
+                    // gesture); the rest pan fine-level bricks.
+                    let q = if rng.gen_range(0u32..4) == 0 {
+                        Query::Level {
+                            level: info.levels - 1,
                         }
-                    }
-                    (ok, busy)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+                    } else {
+                        let brick = [fine.nx / 4, fine.ny / 4, fine.nz / 4];
+                        let lo = [
+                            rng.gen_range(0..=fine.nx - brick[0]),
+                            rng.gen_range(0..=fine.ny - brick[1]),
+                            rng.gen_range(0..=fine.nz - brick[2]),
+                        ];
+                        Query::Roi {
+                            level: 0,
+                            lo,
+                            hi: [lo[0] + brick[0], lo[1] + brick[1], lo[2] + brick[2]],
+                            fill: 0.0,
+                        }
+                    };
+                    client
+                        .batch_retry(0, std::slice::from_ref(&q), RETRIES)
+                        .unwrap_or_else(|e| panic!("storm request failed: {e}"));
+                }
+            });
+        }
     });
     let elapsed = t0.elapsed().as_secs_f64();
-    let ok: u64 = totals.iter().map(|(o, _)| o).sum();
-    let busy: u64 = totals.iter().map(|(_, b)| b).sum();
+    let ok = CLIENTS * OPS_PER_CLIENT;
 
     println!(
         "\n{CLIENTS} clients x {OPS_PER_CLIENT} queries in {elapsed:.3}s \
          ({:.0} queries/s aggregate over TCP)",
         ok as f64 / elapsed
     );
-    println!("{busy} Busy answers absorbed by client retries (typed backpressure, no hangs)");
-
     let stats = probe.stats(0, false).expect("stats");
+    println!(
+        "{} Busy answers absorbed by client retries (typed backpressure, no hangs)",
+        stats.busy_rejections - busy_before
+    );
     println!(
         "remote cache: {} requests = {} hits + {} misses ({} shared in-flight waits)",
         stats.cache.requests, stats.cache.hits, stats.cache.misses, stats.cache.shared
