@@ -110,7 +110,6 @@ pub fn chaos_drive(
             backoff_base: Duration::from_micros(200),
             backoff_cap: Duration::from_millis(5),
             jitter_seed: seed ^ i as u64,
-            ..ClientConfig::default()
         };
         (0..dials)
             .find_map(|_| NetClient::connect_with(addr, cfg.clone()).ok())

@@ -17,12 +17,10 @@ use hqmr_store::temporal::{
     FrameMeta, Prediction, TemporalEncoder, TemporalManifest, TemporalReader, MANIFEST_NAME,
 };
 use hqmr_store::{
-    encode_prepared_store, parity_path, prepare_store, scrub_store, sidecar_bytes_for,
+    encode_prepared_store, prepare_store, publish_store, scrub_store, write_atomic,
     DEFAULT_CHUNK_BLOCKS,
 };
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Wall-clock seconds per pipeline stage.
@@ -47,10 +45,11 @@ impl StageTimings {
 /// [`hqmr_store::StoreReader::open`] serves level, ROI, and progressive
 /// reads from it directly.
 ///
-/// The write is crash-safe: bytes land in a temporary sibling, are fsynced,
-/// and only then renamed over `path`. A crash (or full disk) at any point
-/// leaves either the previous snapshot or no file — never a half-written
-/// container that a later reader would have to reject.
+/// The write is crash-safe ([`hqmr_store::publish_store`]): bytes land in a
+/// temporary sibling, are fsynced, and only then renamed over `path`, with
+/// the parity sidecar published after the store. A crash (or full disk) at
+/// any point leaves either the previous snapshot or no file — never a
+/// half-written container that a later reader would have to reject.
 pub fn write_snapshot(
     mr: &MultiResData,
     cfg: &MrcConfig,
@@ -68,100 +67,10 @@ pub fn write_snapshot(
     let t1 = Instant::now();
     let codec = cfg.backend.codec();
     let bytes = encode_prepared_store(mr, &prepared, &scfg, codec.as_ref());
-    write_atomic(path.as_ref(), &bytes)?;
-    write_sidecar(path.as_ref(), &bytes, scfg.parity_group)?;
+    publish_store(path.as_ref(), &bytes, scfg.parity_group)?;
     timings.compress_write = t1.elapsed().as_secs_f64();
 
     Ok((timings, bytes.len() as u64))
-}
-
-/// Publishes (or retires) the `.hqpr` parity sidecar next to a just-written
-/// store. The store itself is renamed into place *first*: a crash in the
-/// window between the two renames leaves a new store with a stale sidecar,
-/// which the sidecar's store-tag detects as a typed mismatch and the next
-/// scrub rebuilds — never a silent mis-repair, and never a lost store.
-fn write_sidecar(store: &Path, bytes: &[u8], parity_group: usize) -> std::io::Result<()> {
-    let spath = parity_path(store);
-    match sidecar_bytes_for(bytes, parity_group) {
-        Some(sc) => write_atomic(&spath, &sc),
-        // Parity disabled: a sidecar left over from an earlier
-        // parity-enabled write of this path would mismatch forever.
-        None => match std::fs::remove_file(&spath) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        },
-    }
-}
-
-/// Distinguishes staging files of concurrent writers *within* one process:
-/// the pid alone is shared by every thread, so two threads snapshotting the
-/// same path would otherwise stage into the same temp file and clobber each
-/// other mid-write.
-static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Temp-file + `sync_all` + atomic rename + parent-dir fsync. The pid in the
-/// temp name keeps concurrent *processes* (e.g. two ranks snapshotting into
-/// one directory) apart; the process-wide counter keeps concurrent *threads*
-/// of one process apart.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut name = path
-        .file_name()
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "snapshot path has no filename",
-            )
-        })?
-        .to_os_string();
-    name.push(format!(
-        ".{}.{}.tmp",
-        std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let tmp = path.with_file_name(name);
-
-    let write = (|| {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
-        w.write_all(bytes)?;
-        w.flush()?;
-        // Push the data to stable storage before the rename makes it
-        // visible — otherwise the rename can survive a crash the data
-        // didn't.
-        w.into_inner()
-            .map_err(std::io::IntoInnerError::into_error)?
-            .sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        // The rename itself lives in the parent directory's metadata: until
-        // that is flushed, a crash can roll the directory back to the old
-        // entry (or none) even though the data blocks survived.
-        sync_parent_dir(path)
-    })();
-    if write.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    write
-}
-
-/// Fsyncs the directory containing `path`, making a completed rename
-/// durable. On non-unix targets directories cannot be opened for syncing;
-/// the rename is still atomic, just not crash-durable, matching the
-/// platform's general guarantees.
-fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
-    #[cfg(unix)]
-    {
-        let parent = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        std::fs::File::open(parent)?.sync_all()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = path;
-        Ok(())
-    }
 }
 
 /// Per-frame report of a [`TemporalWriter::append`].
@@ -243,8 +152,7 @@ impl TemporalWriter {
             .map_err(std::io::Error::other)?;
         let file = format!("frame_{index:05}.hqst");
         let fpath = self.dir.join(&file);
-        write_atomic(&fpath, &self.buf)?;
-        write_sidecar(&fpath, &self.buf, self.parity_group)?;
+        publish_store(&fpath, &self.buf, self.parity_group)?;
         let delta_chunks: usize = flags.iter().map(|l| l.iter().filter(|&&d| d).count()).sum();
         let total_chunks: usize = flags.iter().map(Vec::len).sum();
         self.manifest.frames.push(FrameMeta {

@@ -15,9 +15,13 @@
 //! synthetic stores (SCALE³ cells each) instead of files, for smoke tests
 //! and load generation without data on disk.
 //!
-//! `--parity GROUP` builds in-memory XOR parity sidecars over every hosted
-//! store (group size GROUP, e.g. 8), arming online repair: a corrupt chunk
-//! is reconstructed and served bit-exactly instead of answered degraded.
+//! `--parity GROUP` arms online repair for every hosted store: it loads the
+//! store's `.hqpr` sidecar when one exists and matches, and otherwise builds
+//! XOR parity in memory (group size GROUP, e.g. 8) over a store that
+//! verifies; a store that is neither is served unarmed. In an armed store a
+//! corrupt chunk is reconstructed and served bit-exactly instead of
+//! answered degraded, so a store that rotted on disk heals from the sidecar
+//! written with it.
 //! `--scrub RATE` additionally spawns a background scrubber that cycles the
 //! datasets at RATE compressed bytes/second, healing silent corruption
 //! before a client ever touches it; its counters export via wire `Stats`.
@@ -38,7 +42,9 @@ fn usage() -> ! {
         "usage: netd [--addr HOST:PORT] [--workers N] [--queue N] [--max-conns N] \
          [--budget BYTES] [--parity GROUP] [--scrub BYTES/SEC] \
          (--demo SCALE | STORE.hqst ...)\n\
-         --max-conns must be at least 1"
+         --max-conns must be at least 1\n\
+         --parity loads a store's .hqpr sidecar when one exists, else builds \
+         parity of GROUP chunks per block"
     );
     std::process::exit(2);
 }

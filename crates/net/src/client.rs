@@ -151,9 +151,6 @@ pub struct ClientConfig {
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_cap: Duration,
-    /// Whether broken connections are transparently re-dialed for
-    /// idempotent requests.
-    pub reconnect: bool,
     /// Seed for backoff jitter. Explicit seeds are honored verbatim
     /// (deterministic backoff for tests); [`ClientConfig::default`] derives
     /// a fresh seed per client so a fleet of default-config clients does not
@@ -190,7 +187,6 @@ impl Default for ClientConfig {
             request_deadline: None,
             backoff_base: Duration::from_micros(500),
             backoff_cap: Duration::from_millis(50),
-            reconnect: true,
             jitter_seed: default_jitter_seed(),
         }
     }
@@ -205,13 +201,12 @@ struct Conn {
 }
 
 /// A blocking connection to a [`NetServer`](crate::NetServer), with
-/// timeouts on every socket and optional transparent reconnect.
+/// timeouts on every socket and transparent reconnect.
 pub struct NetClient {
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
     conn: Option<Conn>,
     next_id: u64,
-    max_frame_len: usize,
     jitter: u64,
 }
 
@@ -244,7 +239,6 @@ impl NetClient {
             cfg,
             conn: Some(conn),
             next_id: 1,
-            max_frame_len: DEFAULT_MAX_FRAME,
             jitter,
         })
     }
@@ -276,11 +270,6 @@ impl NetClient {
             }
         }
         Err(last.expect("addrs nonempty").into())
-    }
-
-    /// Caps the response frames this client will accept.
-    pub fn set_max_frame_len(&mut self, max: usize) {
-        self.max_frame_len = max;
     }
 
     /// The active config.
@@ -323,7 +312,7 @@ impl NetClient {
             };
             let _ = conn.ctrl.set_read_timeout(Some(t));
         }
-        let read = read_frame(&mut conn.reader, self.max_frame_len);
+        let read = read_frame(&mut conn.reader, DEFAULT_MAX_FRAME);
         if deadline.is_some() {
             let _ = conn.ctrl.set_read_timeout(self.cfg.read_timeout);
         }
@@ -368,7 +357,7 @@ impl NetClient {
             match self.call(req) {
                 Ok(resp) => return Ok(resp),
                 Err(e) => {
-                    if !self.retryable(&e, req) {
+                    if !Self::retryable(&e, req) {
                         return Err(e);
                     }
                     if attempt >= budget {
@@ -389,20 +378,20 @@ impl NetClient {
     }
 
     /// Whether the policy may retry after `e`.
-    fn retryable(&self, e: &NetError, req: &Request) -> bool {
+    fn retryable(e: &NetError, req: &Request) -> bool {
         match e {
             // The server answered; the request did not run (Busy) or was
             // abandoned (deadline). Same connection, try again.
             NetError::Busy | NetError::DeadlineExceeded => true,
             // Admission refusal: the request never ran; reconnect is
-            // always safe (if permitted).
-            NetError::TooManyConnections => self.cfg.reconnect,
+            // always safe.
+            NetError::TooManyConnections => true,
             // Ambiguous failures: the server may have executed the
             // request. Only idempotent requests may be replayed.
             NetError::Io(_)
             | NetError::TimedOut
             | NetError::Protocol(_)
-            | NetError::UnexpectedResponse => self.cfg.reconnect && req.idempotent(),
+            | NetError::UnexpectedResponse => req.idempotent(),
             // Permanent answers.
             NetError::Remote(_) | NetError::RetriesExhausted { .. } => false,
         }

@@ -60,7 +60,7 @@ pub const WIRE_VERSION: u8 = 3;
 pub const HELLO_LEN: usize = 8;
 /// Frame header length: body_len + kind + req_id + body_crc.
 pub const HEADER_LEN: usize = 4 + 1 + 8 + 4;
-/// Default cap on a single frame body (sender and receiver side).
+/// Cap on a single frame body (sender and receiver side).
 pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
 
 /// Frame kinds. Requests have the high bit clear, responses set.

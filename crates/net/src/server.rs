@@ -30,7 +30,7 @@
 use crate::chaos::{chunk_fault_hook, ChaosConfig, ChaosStream};
 use crate::proto::{
     parse_header, read_hello, write_frame, write_hello, DatasetInfo, ErrorFrame, NetResponse,
-    ProtocolError, Request, ServerStats, HEADER_LEN,
+    ProtocolError, Request, ServerStats, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
 use hqmr_mr::Upsample;
 use hqmr_serve::{partition_budget, Query, StoreServer};
@@ -73,8 +73,6 @@ pub struct NetConfig {
     /// weighted by compressed store size. [`hqmr_serve::UNBOUNDED`] turns
     /// eviction off everywhere.
     pub cache_budget: usize,
-    /// Largest frame body this server will read.
-    pub max_frame_len: usize,
     /// Socket read timeout. Between frames a timeout is just an idle tick
     /// (connections may legitimately sit quiet); *mid-frame* it means the
     /// peer is feeding bytes too slowly (slow-loris) and is answered with
@@ -91,10 +89,12 @@ pub struct NetConfig {
     pub request_deadline: Option<Duration>,
     /// Fault injection; `None` (the default) injects nothing.
     pub chaos: Option<ChaosConfig>,
-    /// Parity group size for in-memory sidecars built over each tenant at
-    /// spawn. `0` (the default) hosts stores without parity — corrupt
-    /// chunks stay typed errors / degraded fills. `>0` arms
-    /// [`StoreServer`] auto-repair for every tenant.
+    /// `>0` arms [`StoreServer`] parity repair for every tenant at spawn
+    /// ([`StoreServer::with_parity`]): a file-backed store's `.hqpr` when
+    /// one matches, else parity of this group size built over the store if
+    /// it verifies, else the tenant stays unarmed. `0` (the default) hosts
+    /// stores without parity — corrupt chunks stay typed errors / degraded
+    /// fills.
     pub parity_group: usize,
     /// Background scrubber budget in bytes/second. `None` (the default)
     /// runs no scrubber; `Some(rate)` spawns one thread that cycles the
@@ -110,7 +110,6 @@ impl Default for NetConfig {
             queue_depth: 32,
             max_connections: 256,
             cache_budget: hqmr_serve::UNBOUNDED,
-            max_frame_len: crate::proto::DEFAULT_MAX_FRAME,
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             request_deadline: Some(Duration::from_secs(60)),
@@ -442,7 +441,7 @@ fn connection_loop<R: Read, W: Write>(
                 return Ok(());
             }
         }
-        let raw = match parse_header(&header, shared.cfg.max_frame_len) {
+        let raw = match parse_header(&header, DEFAULT_MAX_FRAME) {
             Ok(raw) => raw,
             // Framing-level corruption: answer typed, then hang up (the
             // byte stream is no longer trustworthy).
@@ -557,9 +556,7 @@ impl NetServer {
                 serve = serve.with_fault_hook(Arc::clone(hook));
             }
             if cfg.parity_group > 0 {
-                serve = serve
-                    .with_built_parity(cfg.parity_group)
-                    .map_err(std::io::Error::other)?;
+                serve = serve.with_parity(cfg.parity_group);
             }
             tenants.push(Tenant {
                 id: spec.id,

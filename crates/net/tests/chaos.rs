@@ -15,7 +15,10 @@ use hqmr_net::{
 };
 use hqmr_serve::{Query, StoreServer, UNBOUNDED};
 use hqmr_store::temporal::{Prediction, TemporalReader};
-use hqmr_store::{parse_head, read, write_store, StoreConfig, StoreError, StoreReader};
+use hqmr_store::{
+    parity_path, parse_head, read, write_store, write_store_with_parity, StoreConfig, StoreError,
+    StoreReader, DEFAULT_PARITY_GROUP,
+};
 use hqmr_sz3::Sz3Codec;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -268,6 +271,65 @@ fn flip_chaos_with_parity_serves_exact_over_the_wire() {
     assert_eq!(stats.cache.repair_failures, 0);
 }
 
+/// A file-backed store that rotted on disk after it was written with its
+/// `.hqpr` sidecar: a parity-armed fleet loads that sidecar and heals the
+/// rotted chunk instead of building parity over the damage and refusing to
+/// start, and the healthy dataset beside it serves as well.
+#[test]
+fn parity_fleet_heals_rotted_store_from_its_sidecar() {
+    let f = synth::nyx_like(16, 450);
+    let mr = to_adaptive(&f, &RoiConfig::new(8, 0.5));
+    let cfg = StoreConfig::new(1e6)
+        .with_chunk_blocks(2)
+        .with_parity_group(8);
+    let (buf, sidecar) = write_store_with_parity(&mr, &cfg, &Sz3Codec::default());
+    let dir = std::env::temp_dir().join(format!("hqnw_chaos_rotted_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.hqst");
+    let (meta, data_start) = parse_head(&buf).unwrap();
+    let mut rotted = buf.clone();
+    rotted[(data_start + meta.levels[0].chunks[0].offset) as usize] ^= 0xFF;
+    std::fs::write(&path, &rotted).unwrap();
+    std::fs::write(parity_path(&path), sidecar.expect("parity enabled")).unwrap();
+
+    let clean = store_bytes(451);
+    let oracle =
+        |buf: Vec<u8>| StoreServer::new(Arc::new(StoreReader::from_bytes(buf).unwrap()), 0);
+    let server = NetServer::spawn(
+        "127.0.0.1:0",
+        NetConfig {
+            workers: 2,
+            parity_group: 8,
+            ..NetConfig::default()
+        },
+        vec![
+            DatasetSpec {
+                id: 0,
+                name: "bad".into(),
+                reader: Arc::new(StoreReader::open(&path).expect("open rotted store")),
+            },
+            DatasetSpec {
+                id: 1,
+                name: "clean".into(),
+                reader: Arc::new(StoreReader::from_bytes(clean.clone()).unwrap()),
+            },
+        ],
+    )
+    .expect("a rotted store with its sidecar must not stop the fleet");
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+
+    let queries = vec![Query::Level { level: 0 }, Query::Level { level: 1 }];
+    let healed = client
+        .batch(0, &queries)
+        .expect("the sidecar heals the rot");
+    assert_eq!(healed, oracle(buf).serve_batch(&queries).unwrap());
+    let stats = client.stats(0, false).unwrap();
+    assert!(stats.cache.repairs > 0, "the rotted chunk must be repaired");
+    let neighbour = client.batch(1, &queries).expect("the clean dataset serves");
+    assert_eq!(neighbour, oracle(clean).serve_batch(&queries).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The background scrubber heals a faulted tenant before any client query:
 /// after one pass completes, the wire stats show scrub activity and a
 /// subsequent exact read needs no on-demand repair.
@@ -337,8 +399,7 @@ fn temporal_chaos_storm_heals_every_frame() {
         StoreServer::temporal(Arc::clone(&reader), UNBOUNDED)
             .expect("the run has frames")
             .with_fault_hook(Arc::new(|_, _| true)) // every fetch rots
-            .with_disk_parity()
-            .expect("sidecars written by TemporalWriter"),
+            .with_parity(DEFAULT_PARITY_GROUP),
     );
     assert!(server.has_parity());
 

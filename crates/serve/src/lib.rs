@@ -48,8 +48,8 @@ use hqmr_mr::{LevelData, MultiResData, Upsample};
 use hqmr_store::read::{self, ChunkSource};
 use hqmr_store::temporal::{apply_residual, TemporalReader, TimeKey};
 use hqmr_store::{
-    temporal_sidecars, DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus,
-    StoreError, StoreMeta, StoreReader, Throttle,
+    scrub_chunks, DecodedChunk, ParitySidecar, Progressive, ScrubReport, SidecarStatus, StoreError,
+    StoreMeta, StoreReader, Throttle,
 };
 use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -303,54 +303,21 @@ impl StoreServer {
         self
     }
 
-    /// Arms online repair of a single store with a parity sidecar (builder
-    /// form). Fails with [`StoreError::SidecarMismatch`] if the sidecar
-    /// describes a different store than the wrapped reader, and with
-    /// [`StoreError::Malformed`] on a server of more than one frame.
-    pub fn with_parity(self, sidecar: ParitySidecar) -> Result<Self, StoreError> {
-        self.arm(vec![Some(sidecar)])
-    }
-
-    /// Builds a fresh parity sidecar over every served frame (each must
-    /// verify clean) and arms online repair with them — the
-    /// in-memory-dataset path, where no `.hqpr` file exists to load. `group`
-    /// chunks share one XOR parity block (`0` is rejected by construction
-    /// downstream; use [`hqmr_store::DEFAULT_PARITY_GROUP`] by default).
-    pub fn with_built_parity(self, group: usize) -> Result<Self, StoreError> {
-        let sidecars = (0..self.frames.count())
-            .map(|t| ParitySidecar::from_reader(self.frames.reader(t)?, group).map(Some))
-            .collect::<Result<_, _>>()?;
-        self.arm(sidecars)
-    }
-
-    /// Arms online repair of a temporal store from the `.hqpr` files next
-    /// to its frame files, tolerating absent or damaged sidecars per frame
-    /// (those frames simply stay unprotected). A single store has no frame
-    /// directory to search and is returned unchanged; arm it with
-    /// [`StoreServer::with_parity`].
-    pub fn with_disk_parity(self) -> Result<Self, StoreError> {
-        let Frames::Series(series) = &self.frames else {
-            return Ok(self);
-        };
-        let sidecars = temporal_sidecars(series.dir(), series.manifest());
-        self.arm(sidecars)
-    }
-
-    /// Installs one optional sidecar per frame after checking each against
-    /// its frame's directory.
-    fn arm(mut self, sidecars: Vec<Option<ParitySidecar>>) -> Result<Self, StoreError> {
-        if sidecars.len() != self.frames.count() {
-            return Err(StoreError::Malformed("one parity slot per frame"));
-        }
-        for (t, sidecar) in sidecars.iter().enumerate() {
-            if let Some(sidecar) = sidecar {
-                if !sidecar.matches(self.frames.reader(t)?.meta()) {
-                    return Err(StoreError::SidecarMismatch);
-                }
-            }
-        }
-        self.parity = sidecars;
-        Ok(self)
+    /// Arms online parity repair of every frame (builder form), frame by
+    /// frame: the `.hqpr` beside the frame's file if it parses and matches;
+    /// otherwise a sidecar of `group` chunks per XOR block built over the
+    /// frame's current bytes if they verify; otherwise the frame stays
+    /// unarmed ([`ParitySidecar::load_or_build`]). Never fails, so one
+    /// rotted store cannot keep a fleet from starting; a rotted file with
+    /// its sidecar beside it is armed and heals.
+    pub fn with_parity(mut self, group: usize) -> Self {
+        self.parity = (0..self.frames.count())
+            .map(|t| {
+                let reader = self.frames.reader(t).ok()?;
+                ParitySidecar::load_or_build(reader, group)
+            })
+            .collect();
+        self
     }
 
     /// Whether online parity repair is armed for any frame.
@@ -690,46 +657,25 @@ impl StoreServer {
     }
 
     /// One background scrub cycle over every chunk of frame 0 (the whole
-    /// store of a single-store server; temporal series are scrubbed at rest
-    /// by [`hqmr_store::scrub_temporal`]): verifies each stored payload
-    /// against its chunk-table CRC (paced by `throttle`) and tries parity
-    /// reconstruction on each corrupt one. A chunk counts as repaired only
-    /// when that reconstruction verified; without an armed sidecar every
-    /// corrupt chunk is unrepairable, whatever the cache holds. The wrapped
-    /// store's bytes are immutable here (in-memory or shared file), so reads
-    /// keep repairing the chunk inline; at-rest healing of files is
-    /// [`hqmr_store::scrub_store`]'s job.
-    pub fn scrub_pass(&self, mut throttle: Option<&mut Throttle>) -> ScrubReport {
-        let mut report = ScrubReport {
-            verified: 0,
-            repaired: 0,
-            unrepairable: Vec::new(),
-            bytes_scanned: 0,
-            sidecar: if self.parity[0].is_some() {
-                SidecarStatus::Present
-            } else {
-                SidecarStatus::Missing
-            },
-            sidecar_rebuilt: false,
-        };
+    /// store of a single-store server; temporal runs are verified and
+    /// healed at rest by `TemporalWriter::salvage`): the shared
+    /// [`scrub_chunks`] walk, paced by `throttle`, with parity repair as
+    /// its heal step, tallied in [`CacheStats`]. A chunk counts as repaired
+    /// only when that reconstruction verified; without an armed sidecar
+    /// every corrupt chunk is unrepairable, whatever the cache holds. The
+    /// wrapped store's bytes are immutable here (in-memory or shared file),
+    /// so reads keep repairing the chunk inline; at-rest healing of files
+    /// is [`hqmr_store::scrub_store`]'s job.
+    pub fn scrub_pass(&self, throttle: Option<&mut Throttle>) -> ScrubReport {
         let store = self.reader();
-        let meta = store.meta();
-        for level in 0..meta.levels.len() {
-            for block in 0..meta.levels[level].chunks.len() {
-                let len = meta.levels[level].chunks[block].len as u64;
-                if let Some(t) = throttle.as_deref_mut() {
-                    t.consume(len);
-                }
-                report.bytes_scanned += len;
-                match store.fetch_chunk_bytes(level, block) {
-                    Ok(_) => report.verified += 1,
-                    Err(_) => match self.repair(0, store, level, block) {
-                        Some(_) => report.repaired += 1,
-                        None => report.unrepairable.push((level, block)),
-                    },
-                }
-            }
-        }
+        let sidecar = match self.parity[0] {
+            Some(_) => SidecarStatus::Present,
+            None => SidecarStatus::Missing,
+        };
+        let healed = scrub_chunks(store, sidecar, throttle, |level, block, _| {
+            Ok::<_, std::convert::Infallible>(self.repair(0, store, level, block).is_some())
+        });
+        let Ok(report) = healed;
         report
     }
 
@@ -923,6 +869,7 @@ mod tests {
             hqmr_store::DEFAULT_PARITY_GROUP,
         )
         .unwrap();
+        std::fs::write(hqmr_store::parity_path(&path), sidecar.to_bytes()).unwrap();
         let s = StoreServer::new(Arc::new(StoreReader::open(&path).unwrap()), UNBOUNDED);
         s.read_all().unwrap();
         let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
@@ -939,8 +886,7 @@ mod tests {
         assert_eq!(s.stats().repairs, 0);
 
         let armed = StoreServer::new(Arc::new(StoreReader::open(&path).unwrap()), UNBOUNDED)
-            .with_parity(sidecar)
-            .unwrap();
+            .with_parity(hqmr_store::DEFAULT_PARITY_GROUP);
         armed.read_all().unwrap();
         let report = armed.scrub_pass(None);
         assert_eq!((report.repaired, report.unrepairable.len()), (1, 0));
@@ -950,6 +896,7 @@ mod tests {
             "the read and the scrub each healed (0, 0)"
         );
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(hqmr_store::parity_path(&path));
     }
 
     #[test]

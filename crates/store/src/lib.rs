@@ -56,9 +56,8 @@ pub use format::{
 };
 pub use read::{ChunkSource, DecodedChunk, Progressive, RefinementStep};
 pub use scrub::{
-    parity_path, repair_in_place, scrub_store, scrub_temporal, temporal_sidecars, ParitySidecar,
-    ScrubReport, SidecarStatus, TemporalScrubReport, Throttle, DEFAULT_PARITY_GROUP, PARITY_MAGIC,
-    PARITY_VERSION,
+    parity_path, publish_store, scrub_chunks, scrub_store, write_atomic, ParitySidecar,
+    ScrubReport, SidecarStatus, Throttle, DEFAULT_PARITY_GROUP, PARITY_MAGIC, PARITY_VERSION,
 };
 pub use temporal::{
     FrameMeta, FrameView, Prediction, TemporalEncoder, TemporalManifest, TemporalReader,
@@ -292,7 +291,7 @@ pub fn write_store(mr: &MultiResData, cfg: &StoreConfig, codec: &dyn Codec) -> V
 /// [`write_store`] plus the matching `.hqpr` parity sidecar bytes
 /// (`None` when `cfg.parity_group == 0`). The sidecar is computed off the
 /// just-framed buffer, so it is consistent with the store by construction;
-/// file-level writers persist both through their crash-safe path.
+/// [`publish_store`] persists both through the one crash-safe path.
 pub fn write_store_with_parity(
     mr: &MultiResData,
     cfg: &StoreConfig,
@@ -306,7 +305,7 @@ pub fn write_store_with_parity(
 /// The serialized parity sidecar for a complete store buffer, or `None`
 /// when parity is disabled. Building parity over bytes we just framed
 /// cannot fail; the expect documents that invariant.
-pub fn sidecar_bytes_for(store_buf: &[u8], parity_group: usize) -> Option<Vec<u8>> {
+pub(crate) fn sidecar_bytes_for(store_buf: &[u8], parity_group: usize) -> Option<Vec<u8>> {
     if parity_group == 0 {
         return None;
     }
@@ -523,6 +522,15 @@ impl StoreReader {
         match self.source {
             Source::Mem(buf) => Some(buf),
             Source::File(_) => None,
+        }
+    }
+
+    /// The file this reader was opened on ([`StoreReader::open`]); `None`
+    /// for in-memory readers.
+    pub fn path(&self) -> Option<&Path> {
+        match &self.source {
+            Source::Mem(_) => None,
+            Source::File(file) => Some(&file.path),
         }
     }
 

@@ -23,17 +23,21 @@
 //! CRCs, so sidecar damage is itself typed ([`StoreError::CorruptSidecar`])
 //! and only ever withdraws redundancy — it cannot poison intact data.
 //!
-//! [`scrub_store`]/[`scrub_temporal`] walk every chunk verifying stored
-//! CRCs under an optional byte/sec [`Throttle`] (so scrubbing coexists with
-//! serving), heal what parity can reach, rewrite healed chunks atomically
-//! ([`repair_in_place`]), and rebuild a damaged sidecar whenever the store
-//! itself verifies clean.
+//! [`scrub_chunks`] is the one chunk walk: it verifies every stored CRC in
+//! flat order under an optional byte/sec [`Throttle`] (so scrubbing
+//! coexists with serving) and hands each failed fetch to its caller's heal
+//! step. [`scrub_store`] heals a file at rest — parity reconstruction, an
+//! atomic rewrite of the healed chunks, and a rebuilt sidecar whenever the
+//! store itself verifies clean; `hqmr-serve` heals through its cache.
+//! [`write_atomic`] and [`publish_store`] are the one crash-safe writer for
+//! stores, sidecars and temporal manifests.
 
 use crate::format::{parse_head, StoreError, StoreMeta};
-use crate::temporal::{TemporalManifest, TemporalReader};
-use crate::StoreReader;
+use crate::{sidecar_bytes_for, StoreReader};
 use hqmr_codec::{crc32, read_uvarint, write_uvarint};
+use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Parity sidecar magic.
@@ -309,6 +313,18 @@ impl ParitySidecar {
         Ok(Some(sidecar))
     }
 
+    /// The arming rule for serving `reader`: the `.hqpr` beside its file if
+    /// that parses and matches; otherwise parity built over the reader's
+    /// current bytes if every chunk verifies; otherwise `None` (unarmed).
+    /// A rotted store thus heals from the sidecar written with it instead of
+    /// failing to build fresh parity over its damage.
+    pub fn load_or_build(reader: &StoreReader, group: usize) -> Option<ParitySidecar> {
+        reader
+            .path()
+            .and_then(|path| Self::open_for(path, reader.meta()).ok().flatten())
+            .or_else(|| Self::from_reader(reader, group).ok())
+    }
+
     /// Rebuilds the compressed payload of chunk `(level, block)` from its
     /// group siblings and the parity block, verifying the result against
     /// the chunk table's stored CRC — a returned buffer is bit-exact by
@@ -446,82 +462,101 @@ impl ScrubReport {
     }
 }
 
-/// Verifies every chunk of the store at `path` against its stored CRC,
-/// reconstructing damaged chunks from the paired `.hqpr` sidecar (when one
-/// exists and matches) and rewriting healed chunks atomically via
-/// [`repair_in_place`]. A damaged sidecar over a fully-verified store is
-/// rebuilt in place; a damaged store with no usable sidecar reports its
-/// casualties as `unrepairable` rather than failing the scrub. `throttle`
-/// paces the compressed bytes read.
-pub fn scrub_store(
-    path: &Path,
+/// The one scrub walk: fetches every chunk of `reader` in flat order,
+/// verifying its stored CRC, pacing the compressed bytes through `throttle`
+/// and counting `verified` and `bytes_scanned`. Each failed fetch goes to
+/// `heal`, whose `Ok(true)` counts the chunk as repaired and `Ok(false)` as
+/// unrepairable; an `Err` stops the walk. The report's sidecar health is
+/// `sidecar`, as the caller found it.
+pub fn scrub_chunks<E>(
+    reader: &StoreReader,
+    sidecar: SidecarStatus,
     mut throttle: Option<&mut Throttle>,
-) -> Result<ScrubReport, StoreError> {
-    let reader = StoreReader::open(path)?;
-    let (sidecar, mut status) = match ParitySidecar::open_for(path, reader.meta()) {
-        Ok(Some(s)) => (Some(s), SidecarStatus::Present),
-        Ok(None) => (None, SidecarStatus::Missing),
-        Err(e) => (None, SidecarStatus::Damaged(e.to_string())),
-    };
+    mut heal: impl FnMut(usize, usize, StoreError) -> Result<bool, E>,
+) -> Result<ScrubReport, E> {
     let mut report = ScrubReport {
         verified: 0,
         repaired: 0,
         unrepairable: Vec::new(),
         bytes_scanned: 0,
-        sidecar: SidecarStatus::Missing,
+        sidecar,
         sidecar_rebuilt: false,
     };
-    let mut healed: Vec<(usize, usize, Vec<u8>)> = Vec::new();
     for (level, block) in flat_chunks(reader.meta()) {
         let len = reader.meta().levels[level].chunks[block].len as u64;
-        match reader.fetch_chunk_bytes(level, block) {
-            Ok(_) => report.verified += 1,
-            Err(StoreError::CorruptChunk { .. }) => {
-                match sidecar
-                    .as_ref()
-                    .map(|s| s.reconstruct(&reader, level, block))
-                {
-                    Some(Ok(bytes)) => {
-                        report.repaired += 1;
-                        healed.push((level, block, bytes));
-                    }
-                    _ => report.unrepairable.push((level, block)),
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        report.bytes_scanned += len;
         if let Some(t) = throttle.as_deref_mut() {
             t.consume(len);
         }
+        report.bytes_scanned += len;
+        match reader.fetch_chunk_bytes(level, block) {
+            Ok(_) => report.verified += 1,
+            Err(e) => match heal(level, block, e)? {
+                true => report.repaired += 1,
+                false => report.unrepairable.push((level, block)),
+            },
+        }
     }
+    Ok(report)
+}
+
+/// Verifies every chunk of the store at `path` against its stored CRC,
+/// reconstructing damaged chunks from the paired `.hqpr` sidecar (when one
+/// exists and matches) and rewriting healed chunks atomically. A damaged
+/// sidecar over a fully-verified store is rebuilt in place; a damaged store
+/// with no usable sidecar reports its casualties as `unrepairable` rather
+/// than failing the scrub. A fetch error other than a CRC failure fails it.
+/// `throttle` paces the compressed bytes read.
+pub fn scrub_store(
+    path: &Path,
+    throttle: Option<&mut Throttle>,
+) -> Result<ScrubReport, StoreError> {
+    let reader = StoreReader::open(path)?;
+    let (sidecar, status) = match ParitySidecar::open_for(path, reader.meta()) {
+        Ok(Some(s)) => (Some(s), SidecarStatus::Present),
+        Ok(None) => (None, SidecarStatus::Missing),
+        Err(e) => (None, SidecarStatus::Damaged(e.to_string())),
+    };
+    let mut healed: Vec<(usize, usize, Vec<u8>)> = Vec::new();
+    let mut report = scrub_chunks(&reader, status, throttle, |level, block, e| {
+        if !matches!(e, StoreError::CorruptChunk { .. }) {
+            return Err(e);
+        }
+        match sidecar
+            .as_ref()
+            .map(|s| s.reconstruct(&reader, level, block))
+        {
+            Some(Ok(bytes)) => {
+                healed.push((level, block, bytes));
+                Ok(true)
+            }
+            _ => Ok(false),
+        }
+    })?;
     if !healed.is_empty() {
         repair_in_place(path, &healed)?;
     }
     // A sidecar that rotted (or never matched) is itself repairable as long
     // as every chunk now verifies: rebuild it from the healed store.
-    let parity_ok = match (&status, &sidecar) {
+    let parity_ok = match (&report.sidecar, &sidecar) {
         (SidecarStatus::Present, Some(s)) => s.groups.iter().all(|g| crc32(&g.parity) == g.crc),
         _ => false,
     };
-    if !parity_ok && report.unrepairable.is_empty() && !matches!(status, SidecarStatus::Missing) {
+    if !parity_ok && report.all_exact() && report.sidecar != SidecarStatus::Missing {
         let group = sidecar.as_ref().map_or(DEFAULT_PARITY_GROUP, |s| s.group);
-        let reopened = StoreReader::open(path)?;
-        let fresh = ParitySidecar::from_reader(&reopened, group)?;
+        let fresh = ParitySidecar::from_reader(&StoreReader::open(path)?, group)?;
         write_atomic(&parity_path(path), &fresh.to_bytes())?;
         report.sidecar_rebuilt = true;
-        status = SidecarStatus::Present;
+        report.sidecar = SidecarStatus::Present;
     }
-    report.sidecar = status;
     Ok(report)
 }
 
 /// Rewrites the store at `path` with `healed` chunk payloads patched into
-/// the data region, through a temp-sibling + rename + parent-fsync path —
-/// a crash leaves either the old store or the fully repaired one, never a
-/// half-patched file. Every healed payload must match the chunk table's
-/// recorded length and CRC (which parity reconstruction guarantees).
-pub fn repair_in_place(path: &Path, healed: &[(usize, usize, Vec<u8>)]) -> Result<(), StoreError> {
+/// the data region through [`write_atomic`] — a crash leaves either the old
+/// store or the fully repaired one, never a half-patched file. Every healed
+/// payload must match the chunk table's recorded length and CRC (which
+/// parity reconstruction guarantees).
+fn repair_in_place(path: &Path, healed: &[(usize, usize, Vec<u8>)]) -> Result<(), StoreError> {
     let mut buf = std::fs::read(path).map_err(|source| StoreError::Open {
         path: path.to_path_buf(),
         source,
@@ -545,115 +580,67 @@ pub fn repair_in_place(path: &Path, healed: &[(usize, usize, Vec<u8>)]) -> Resul
     Ok(())
 }
 
-/// Scrub outcome of one temporal (`HQTM`) run: the manifest's verdict plus
-/// one per-frame [`ScrubReport`] (or the typed error that stopped that
-/// frame's scrub — a frame whose very head is unreadable cannot be walked).
-#[derive(Debug)]
-pub struct TemporalScrubReport {
-    /// Per frame: the frame's file name and its scrub outcome.
-    pub frames: Vec<(String, Result<ScrubReport, StoreError>)>,
-}
-
-impl TemporalScrubReport {
-    /// Total chunks verified across frames.
-    pub fn verified(&self) -> usize {
-        self.reports().map(|r| r.verified).sum()
-    }
-
-    /// Total chunks repaired across frames.
-    pub fn repaired(&self) -> usize {
-        self.reports().map(|r| r.repaired).sum()
-    }
-
-    /// Total unrepairable chunks across scrubable frames, plus one per
-    /// frame that could not be scrubbed at all.
-    pub fn unrepairable(&self) -> usize {
-        self.frames
-            .iter()
-            .map(|(_, r)| match r {
-                Ok(rep) => rep.unrepairable.len(),
-                Err(_) => 1,
-            })
-            .sum()
-    }
-
-    /// Whether every frame scrubbed and every chunk is servable exactly.
-    pub fn all_exact(&self) -> bool {
-        self.frames
-            .iter()
-            .all(|(_, r)| matches!(r, Ok(rep) if rep.all_exact()))
-    }
-
-    fn reports(&self) -> impl Iterator<Item = &ScrubReport> {
-        self.frames.iter().filter_map(|(_, r)| r.as_ref().ok())
+/// Publishes a complete store buffer at `path` and its `.hqpr` sidecar
+/// (built at `parity_group`; `0` removes a sidecar left by an earlier
+/// parity-enabled write, which would mismatch forever). The store is
+/// renamed into place *first*: a crash between the two writes leaves a new
+/// store with a stale sidecar, which the sidecar's store tag rejects as a
+/// typed mismatch and the next scrub rebuilds — never a silent mis-repair,
+/// never a lost store.
+pub fn publish_store(path: &Path, bytes: &[u8], parity_group: usize) -> std::io::Result<()> {
+    write_atomic(path, bytes)?;
+    let sidecar = parity_path(path);
+    match sidecar_bytes_for(bytes, parity_group) {
+        Some(sc) => write_atomic(&sidecar, &sc),
+        None => match std::fs::remove_file(&sidecar) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        },
     }
 }
 
-/// Scrubs every frame of the temporal run at `dir` (see [`scrub_store`] for
-/// per-frame semantics); the shared `throttle` paces the whole walk. The
-/// manifest itself is read and CRC-validated first — a corrupt manifest is
-/// a typed error, since without it the frame list is unknown.
-pub fn scrub_temporal(
-    dir: &Path,
-    mut throttle: Option<&mut Throttle>,
-) -> Result<TemporalScrubReport, StoreError> {
-    let manifest = TemporalReader::read_manifest(dir)?;
-    let mut frames = Vec::with_capacity(manifest.frames.len());
-    for fm in &manifest.frames {
-        let outcome = scrub_store(&dir.join(&fm.file), throttle.as_deref_mut());
-        frames.push((fm.file.clone(), outcome));
-    }
-    Ok(TemporalScrubReport { frames })
-}
-
-/// Loads the per-frame parity sidecars of a temporal run for serve-layer
-/// auto-repair: index `t` holds frame `t`'s sidecar, `None` where the
-/// sidecar is absent, damaged, or paired with the wrong frame (serving then
-/// simply has no redundancy for that frame — never a hard failure).
-pub fn temporal_sidecars(dir: &Path, manifest: &TemporalManifest) -> Vec<Option<ParitySidecar>> {
-    manifest
-        .frames
-        .iter()
-        .map(|fm| {
-            let frame_path = dir.join(&fm.file);
-            let head = StoreReader::open(&frame_path).ok()?;
-            ParitySidecar::open_for(&frame_path, head.meta())
-                .ok()
-                .flatten()
-        })
-        .collect()
-}
-
-/// Atomic replace: write a temp sibling, flush it to the device, rename
-/// over the target, then fsync the parent directory (unix) so the rename
-/// itself is durable. The store crate cannot reuse `hqmr-core`'s private
-/// writer (dependency direction), so the idiom is kept here in parallel.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// Atomic replace: write a temp sibling, fsync it, rename it over `path`,
+/// then fsync the parent directory so the rename itself survives a crash —
+/// a reader sees the old file or the new one, never a torn one. The temp
+/// name carries the pid (concurrent processes, e.g. two ranks writing one
+/// directory) and a process-wide counter (concurrent threads of one
+/// process). A path with no file name is [`std::io::ErrorKind::InvalidInput`].
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-    let parent = path.parent().unwrap_or_else(|| Path::new("."));
-    let tmp = parent.join(format!(
-        ".{}.{}.{}.tmp",
-        path.file_name().and_then(|n| n.to_str()).unwrap_or("hqpr"),
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
+        })?
+        .to_os_string();
+    name.push(format!(
+        ".{}.{}.tmp",
         std::process::id(),
-        TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
+        TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
+    let tmp = path.with_file_name(name);
     let write = (|| {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-        f.write_all(bytes)?;
-        f.into_inner().map_err(std::io::Error::other)?.sync_all()?;
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        w.write_all(bytes)?;
+        // Data reaches stable storage before the rename makes it visible.
+        w.into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?
+            .sync_all()?;
         std::fs::rename(&tmp, path)
     })();
     if write.is_err() {
-        std::fs::remove_file(&tmp).ok();
+        let _ = std::fs::remove_file(&tmp);
         return write;
     }
+    // The rename lives in the parent directory's metadata. Non-unix targets
+    // cannot open a directory to sync it: atomic there, not crash-durable.
     #[cfg(unix)]
     {
-        if let Ok(dirf) = std::fs::File::open(parent) {
-            let _ = dirf.sync_all();
-        }
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(parent)?.sync_all()?;
     }
     Ok(())
 }
@@ -817,6 +804,46 @@ mod tests {
         let restored =
             ParitySidecar::from_bytes(&std::fs::read(parity_path(&path)).unwrap()).unwrap();
         assert_eq!(restored, sc);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn publish_without_parity_removes_stale_sidecar() {
+        let dir = tmp_dir("publish");
+        let path = dir.join("p.hqst");
+        let buf = store();
+        publish_store(&path, &buf, 4).unwrap();
+        let sidecar = parity_path(&path);
+        assert_eq!(
+            std::fs::read(&sidecar).unwrap(),
+            ParitySidecar::from_store_bytes(&buf, 4).unwrap().to_bytes()
+        );
+        publish_store(&path, &buf, 0).unwrap();
+        assert!(
+            !sidecar.exists(),
+            "a parity-off write retires the old sidecar"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), buf);
+        // With no sidecar left to retire, a parity-off write still succeeds.
+        publish_store(&path, &buf, 0).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_write_to_nameless_path_is_invalid_input() {
+        let dir = tmp_dir("nameless");
+        for path in [dir.join(".."), PathBuf::from("/")] {
+            let err = write_atomic(&path, b"bytes").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{path:?}");
+        }
+        let temps = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().ends_with(".tmp")
+            })
+            .count();
+        assert_eq!(temps, 0, "a refused write stages nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 
